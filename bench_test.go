@@ -18,6 +18,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/eval"
@@ -315,7 +316,13 @@ func trainedSystem(b *testing.B) (*core.System, *core.Source) {
 // worker-pool size (0 = one per CPU, 1 = serial).
 func trainedSystemWorkers(b *testing.B, workers int) (*core.System, *core.Source) {
 	b.Helper()
-	d := datagen.RealEstateI()
+	return trainedDomain(b, datagen.RealEstateI(), workers)
+}
+
+// trainedDomain trains d's benchmark system on its first three sources
+// and returns it with a sample of the fourth, 40 listings each.
+func trainedDomain(b *testing.B, d *datagen.Domain, workers int) (*core.System, *core.Source) {
+	b.Helper()
 	med := d.Mediated()
 	specs := d.Sources()
 	var train []*core.Source
@@ -406,6 +413,36 @@ func BenchmarkMatchSerial(b *testing.B) { benchMatchWorkers(b, 1) }
 // BenchmarkMatchParallel matches with one worker per CPU; the mapping
 // is bit-identical to the serial run (see determinism_test.go).
 func BenchmarkMatchParallel(b *testing.B) { benchMatchWorkers(b, 0) }
+
+// BenchmarkConstraintRun measures the constraint handler alone (A*
+// search plus local repair), per domain, on one held-out source's
+// recorded tag predictions and constraint source: the matching stage
+// that dominates a served request once the learners' memos are warm.
+func BenchmarkConstraintRun(b *testing.B) {
+	for _, d := range datagen.Domains() {
+		d := d
+		b.Run(shortName(d.Name), func(b *testing.B) {
+			sys, test := trainedDomain(b, d, 0)
+			res, err := sys.Match(context.Background(), test)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cols, err := core.CollectColumns(context.Background(), nil, test, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := core.BuildConstraintSource(test, cols, 0)
+			h := constraint.NewHandler(d.Mediated().Constraints...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := h.Run(src, res.TagPredictions); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // benchLearnerPredict measures one instance prediction for a trained
 // base learner on Real Estate I data.

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/learn"
@@ -78,21 +79,8 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 	}
 	order := h.tagOrder(src)
 	cands := h.candidates(src, order, preds)
+	idx := indexConstraints(h.Constraints)
 
-	// Index constraints by the labels they react to; nil-Labels
-	// constraints are global and re-checked on every assignment.
-	byLabel := make(map[string][]Constraint)
-	var global []Constraint
-	for _, c := range h.Constraints {
-		ls := c.Labels()
-		if ls == nil {
-			global = append(global, c)
-			continue
-		}
-		for _, l := range ls {
-			byLabel[l] = append(byLabel[l], c)
-		}
-	}
 	// Completion-sensitive constraints (e.g. exactly-one frequency) are
 	// re-checked once when an assignment completes.
 	var completionSensitive []Constraint
@@ -136,22 +124,16 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 	var bestPartial *state
 	scratch := Assignment{}
 
-	// delta evaluates the cost change of adding the idx-th assignment to
-	// scratch (which must already contain it): the affected constraints'
-	// violations after minus before. Monotone constraints make the
-	// before-terms cheap to subtract.
-	affected := func(label string) []Constraint {
-		cs := byLabel[label]
-		if len(global) == 0 {
-			return cs
-		}
-		return append(append([]Constraint{}, cs...), global...)
-	}
+	// Each expansion's candidates share the affected constraints'
+	// violation degrees before the new assignment: before[k] is valid
+	// while beforeAt[k] equals the current expansion count.
+	before := make([]float64, len(h.Constraints))
+	beforeAt := make([]int, len(h.Constraints))
 	for pq.Len() > 0 {
 		cur := heap.Pop(pq).(*state)
 		if cur.idx == len(order) {
 			m := materialize(cur.labels)
-			cost := h.repair(src, preds, order, cands, m)
+			cost := h.repair(src, preds, order, cands, idx, m)
 			return &Result{
 				Mapping:    m,
 				Cost:       cost,
@@ -175,31 +157,34 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 		}
 		tag := order[cur.idx]
 		complete := cur.idx+1 == len(order)
-		// Cache each affected constraint's violation degree before the
-		// new assignment, keyed by constraint identity.
-		beforeCache := make(map[Constraint]float64)
 
 		for ci, cand := range cands[cur.idx] {
 			scratch[tag] = cand.label
 			dCost := 0.0
 			feasible := true
-			for _, c := range affected(cand.label) {
-				before, ok := beforeCache[c]
-				if !ok {
-					delete(scratch, tag)
-					before = c.Violations(src, scratch, false)
-					scratch[tag] = cand.label
-					beforeCache[c] = before
+			// The cost change of adding the assignment: the affected
+			// constraints' violations after minus before. Monotone
+			// constraints make the before-terms cheap to subtract.
+		affected:
+			for _, ks := range [2][]int{idx.byLabel[cand.label], idx.global} {
+				for _, k := range ks {
+					c := h.Constraints[k]
+					if beforeAt[k] != expansions {
+						delete(scratch, tag)
+						before[k] = c.Violations(src, scratch, false)
+						scratch[tag] = cand.label
+						beforeAt[k] = expansions
+					}
+					after := c.Violations(src, scratch, false)
+					if after <= before[k] {
+						continue
+					}
+					if c.Hard() {
+						feasible = false
+						break affected
+					}
+					dCost += c.Weight() * (after - before[k])
 				}
-				after := c.Violations(src, scratch, false)
-				if after <= before {
-					continue
-				}
-				if c.Hard() {
-					feasible = false
-					break
-				}
-				dCost += c.Weight() * (after - before)
 			}
 			if feasible && complete {
 				for _, c := range completionSensitive {
@@ -242,7 +227,7 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 		}
 		m[tag] = bestLabel
 	}
-	cost := h.repair(src, preds, order, cands, m)
+	cost := h.repair(src, preds, order, cands, idx, m)
 	return &Result{
 		Mapping:    m,
 		Cost:       cost,
@@ -251,15 +236,62 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 	}, nil
 }
 
+// constraintIndex maps each label to the constraints whose Labels()
+// name it, as positions in Handler.Constraints in ascending order (a
+// constraint naming a label twice is listed twice). Global constraints,
+// whose Labels() is nil, react to any assignment. A* and repair share
+// one index per run.
+type constraintIndex struct {
+	byLabel map[string][]int
+	global  []int
+}
+
+func indexConstraints(cs []Constraint) constraintIndex {
+	idx := constraintIndex{byLabel: make(map[string][]int)}
+	for k, c := range cs {
+		ls := c.Labels()
+		if ls == nil {
+			idx.global = append(idx.global, k)
+			continue
+		}
+		for _, l := range ls {
+			idx.byLabel[l] = append(idx.byLabel[l], k)
+		}
+	}
+	return idx
+}
+
+// affected returns, in dst's storage, the positions of the constraints
+// a move between labels a and b can change: those indexed under a or
+// b, plus the global ones, each once.
+func (idx constraintIndex) affected(dst []int, a, b string) []int {
+	out := append(dst[:0], idx.byLabel[a]...)
+	out = append(out, idx.byLabel[b]...)
+	out = append(out, idx.global...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // repair hill-climbs a complete mapping: single-tag reassignments and
 // pairwise label swaps are applied while they lower the total cost.
 // Weighted A* reaches goals quickly but can lock a label onto the wrong
 // tag early and push the right tag to a lesser choice ("steal chains");
 // a swap move repairs exactly that in one step, where single
 // reassignments would have to pass through a hard frequency violation.
-// The mapping is repaired in place; the final cost is returned.
+// The mapping, which must assign every tag in order, is repaired in
+// place; the final cost is returned.
+//
+// Every move is screened before it is costed in full: while the
+// current cost is finite, a move re-evaluates only the constraints it
+// can change, against their cached degrees, and the −log terms of the
+// tags it moves. Only moves the screen cannot rule out pay for the full
+// recompute, whose result alone decides acceptance, so the decisions,
+// the mapping and the returned cost are those of costing every move in
+// full (DESIGN.md, "Weighted A* + local repair").
+//
+// lint:hot
 func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
-	order []string, cands [][]candidate, m Assignment) float64 {
+	order []string, cands [][]candidate, idx constraintIndex, m Assignment) float64 {
 
 	total := func() float64 {
 		cc := Cost(h.Constraints, src, m, true)
@@ -269,6 +301,94 @@ func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
 		return h.Alpha*ProbCost(preds, m) + cc
 	}
 	cur := total()
+
+	// The screen's view of the current mapping, kept while cur is
+	// finite: deg[k] is Constraints[k]'s complete-assignment violation
+	// degree and term[i] the −log score of order[i]'s label. moved and
+	// after hold the move under test's affected constraints and their
+	// degrees with the move applied.
+	deg := make([]float64, len(h.Constraints))
+	after := make([]float64, len(h.Constraints))
+	moved := make([]int, 0, len(h.Constraints))
+	term := make([]float64, len(order))
+	reset := func() {
+		for k, c := range h.Constraints {
+			deg[k] = c.Violations(src, m, true)
+		}
+		for i, tag := range order {
+			term[i] = negLog(preds[tag][m[tag]])
+		}
+	}
+	if !math.IsInf(cur, 1) {
+		reset()
+	}
+
+	// try decides a move already applied to m that takes order[i] from
+	// label a to b and, for a swap (j ≥ 0), order[j] from b to a. It
+	// reports whether the move lowers the cost, updating cur if so.
+	try := func(i, j int, a, b string) bool {
+		if math.IsInf(cur, 1) {
+			// The greedy fallback can start infeasible; with no finite
+			// cost to screen against, every move is costed in full
+			// until one reaches a feasible mapping.
+			c := total()
+			if !(c < cur-1e-12) {
+				return false
+			}
+			cur = c
+			reset()
+			return true
+		}
+		moved = idx.affected(moved, a, b)
+		d := 0.0
+		for _, k := range moved {
+			c := h.Constraints[k]
+			v := c.Violations(src, m, true)
+			after[k] = v
+			if c.Hard() {
+				if v > 0 {
+					return false // the full cost would be +Inf
+				}
+				continue
+			}
+			if v > 0 {
+				d += c.Weight() * v
+			}
+			if deg[k] > 0 {
+				d -= c.Weight() * deg[k]
+			}
+		}
+		ti, tj := negLog(preds[order[i]][b]), 0.0
+		d += h.Alpha * (ti - term[i])
+		if j >= 0 {
+			tj = negLog(preds[order[j]][a])
+			d += h.Alpha * (tj - term[j])
+		}
+		// d is the change the full test below would see, up to
+		// rounding: cur and the move's cost each sum n non-negative
+		// terms (one −log score per tag, one weighted degree per
+		// violated soft constraint), so each is within n·2⁻⁵³·|cur| of
+		// its exact value, about 2e-14·|cur| for Real Estate II's
+		// n ≈ 200, and d's few differences are closer still. The
+		// tolerance 1e-9·(1+|cur|) exceeds that bound for any n below
+		// ten million: a move it rules out fails the full test too.
+		if d >= -1e-12+1e-9*(1+math.Abs(cur)) {
+			return false
+		}
+		c := total()
+		if !(c < cur-1e-12) {
+			return false
+		}
+		cur = c
+		for _, k := range moved {
+			deg[k] = after[k]
+		}
+		term[i] = ti
+		if j >= 0 {
+			term[j] = tj
+		}
+		return true
+	}
 	for pass := 0; pass < 10; pass++ {
 		improved := false
 		// Single reassignments.
@@ -279,8 +399,8 @@ func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
 					continue
 				}
 				m[tag] = cand.label
-				if c := total(); c < cur-1e-12 {
-					cur, was, improved = c, cand.label, true
+				if try(i, -1, was, cand.label) {
+					was, improved = cand.label, true
 				} else {
 					m[tag] = was
 				}
@@ -291,14 +411,15 @@ func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
 		for i := 0; i < len(order); i++ {
 			for j := i + 1; j < len(order); j++ {
 				ti, tj := order[i], order[j]
-				if m[ti] == m[tj] {
+				a, b := m[ti], m[tj]
+				if a == b {
 					continue
 				}
-				m[ti], m[tj] = m[tj], m[ti]
-				if c := total(); c < cur-1e-12 {
-					cur, improved = c, true
+				m[ti], m[tj] = b, a
+				if try(i, j, a, b) {
+					improved = true
 				} else {
-					m[ti], m[tj] = m[tj], m[ti]
+					m[ti], m[tj] = a, b
 				}
 			}
 		}

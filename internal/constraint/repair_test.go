@@ -25,7 +25,7 @@ func TestRepairFixesStealChain(t *testing.T) {
 	m := Assignment{"beds": "BATHS", "baths": learn.Other}
 	order := []string{"beds", "baths"}
 	cands := h.candidates(src, order, preds)
-	cost := h.repair(src, preds, order, cands, m)
+	cost := h.repair(src, preds, order, cands, indexConstraints(h.Constraints), m)
 	if m["beds"] != "BEDS" || m["baths"] != "BATHS" {
 		t.Errorf("repair result = %v, want beds=BEDS baths=BATHS", m)
 	}

@@ -261,8 +261,41 @@ func (s *Schema) NonLeafTags() []string {
 }
 
 // IsLeaf reports whether tag cannot contain child elements. Attribute
-// pseudo-tags are always leaves.
-func (s *Schema) IsLeaf(tag string) bool { return len(s.ChildTags(tag)) == 0 }
+// pseudo-tags are always leaves. It answers from the content model
+// without building ChildTags' set, so the constraint handler can ask it
+// for every mapped tag of every candidate mapping.
+func (s *Schema) IsLeaf(tag string) bool {
+	e := s.elements[tag]
+	if e == nil {
+		return true
+	}
+	if len(e.Attributes) > 0 {
+		return false
+	}
+	switch e.Model.Kind {
+	case ElementContent:
+		return !hasName(e.Model.Particle)
+	case Mixed:
+		return len(e.Model.MixedSet) == 0
+	}
+	return true
+}
+
+// hasName reports whether the particle tree references any element.
+func hasName(p *Particle) bool {
+	if p == nil {
+		return false
+	}
+	if p.Kind == NameParticle {
+		return true
+	}
+	for _, c := range p.Children {
+		if hasName(c) {
+			return true
+		}
+	}
+	return false
+}
 
 // Root returns the root element: the first declared element that is
 // not referenced in any other element's content model. If every
@@ -393,11 +426,10 @@ func (s *Schema) Siblings(a, b string) bool {
 
 // SiblingsBetween returns the declared tags strictly between a and b in
 // their common parent's content-model order, or nil (and false) if a
-// and b are not ordered siblings.
+// and b are not ordered siblings. A child tag is its own sibling with
+// nothing between.
 func (s *Schema) SiblingsBetween(a, b string) ([]string, bool) {
 	for _, name := range s.order {
-		seq := s.ChildTags(name) // sorted; need declaration order instead
-		_ = seq
 		order := childOrder(s.elements[name])
 		ia, ib := indexOf(order, a), indexOf(order, b)
 		if ia < 0 || ib < 0 {
@@ -405,6 +437,9 @@ func (s *Schema) SiblingsBetween(a, b string) ([]string, bool) {
 		}
 		if ia > ib {
 			ia, ib = ib, ia
+		}
+		if ia == ib {
+			return []string{}, true
 		}
 		return append([]string{}, order[ia+1:ib]...), true
 	}

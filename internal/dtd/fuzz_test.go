@@ -59,6 +59,13 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("round trip changed tags: %v vs %v", a, b)
 			}
 		}
+		// IsLeaf answers from the content model; it must agree with
+		// the child set ChildTags builds, for every tag.
+		for _, tag := range a {
+			if got, want := s.IsLeaf(tag), len(s.ChildTags(tag)) == 0; got != want {
+				t.Fatalf("IsLeaf(%q) = %v, want %v (children %v)", tag, got, want, s.ChildTags(tag))
+			}
+		}
 	})
 }
 

@@ -178,6 +178,10 @@ func TestSiblings(t *testing.T) {
 	if _, ok := s.SiblingsBetween("location", "phone"); ok {
 		t.Error("SiblingsBetween across levels should fail")
 	}
+	// A contiguity constraint over one label pairs a tag with itself.
+	if between, ok := s.SiblingsBetween("price", "price"); !ok || len(between) != 0 {
+		t.Errorf("SiblingsBetween(price, price) = %v, %v; want none between, true", between, ok)
+	}
 }
 
 func TestSchemaStringRoundTrip(t *testing.T) {
