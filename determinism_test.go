@@ -21,6 +21,7 @@ import (
 	"repro/internal/learners/contentmatcher"
 	"repro/internal/learners/naivebayes"
 	"repro/internal/learners/namematcher"
+	"repro/internal/modeltest"
 )
 
 // workerSettings are the pool sizes every determinism test compares:
@@ -76,27 +77,6 @@ func weightsFingerprint(sys *core.System) string {
 	return b.String()
 }
 
-// matchFingerprint renders the mapping and every per-tag confidence
-// score with full float64 precision, in deterministic order.
-func matchFingerprint(sys *core.System, res *core.MatchResult) string {
-	var b strings.Builder
-	tags := make([]string, 0, len(res.TagPredictions))
-	for tag := range res.TagPredictions {
-		tags = append(tags, tag)
-	}
-	sort.Strings(tags)
-	labels := append([]string(nil), sys.Labels()...)
-	sort.Strings(labels)
-	for _, tag := range tags {
-		fmt.Fprintf(&b, "%s -> %s\n", tag, res.Mapping[tag])
-		p := res.TagPredictions[tag]
-		for _, label := range labels {
-			fmt.Fprintf(&b, "  %s=%.17g\n", label, p[label])
-		}
-	}
-	return b.String()
-}
-
 // TestTrainDeterministic asserts the fitted meta-learner weights are
 // bit-identical at every worker setting.
 func TestTrainDeterministic(t *testing.T) {
@@ -124,7 +104,7 @@ func TestMatchDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := matchFingerprint(sys, res)
+	want := modeltest.MatchFingerprint(sys, res)
 	if want == "" {
 		t.Fatal("empty match fingerprint")
 	}
@@ -134,7 +114,7 @@ func TestMatchDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: Match: %v", w, err)
 		}
-		if got := matchFingerprint(sys, res); got != want {
+		if got := modeltest.MatchFingerprint(sys, res); got != want {
 			t.Errorf("workers=%d: match result differs from serial run\nserial:\n%s\ngot:\n%s",
 				w, want, got)
 		}
@@ -167,7 +147,7 @@ func TestSaveLoadDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Match: %v", err)
 			}
-			want := matchFingerprint(sys, res)
+			want := modeltest.MatchFingerprint(sys, res)
 			if want == "" {
 				t.Fatal("empty match fingerprint")
 			}
@@ -189,7 +169,7 @@ func TestSaveLoadDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: Match: %v", w, err)
 				}
-				if got := matchFingerprint(restored, res); got != want {
+				if got := modeltest.MatchFingerprint(restored, res); got != want {
 					t.Errorf("workers=%d: restored matcher differs from original\noriginal:\n%s\nrestored:\n%s",
 						w, want, got)
 				}
@@ -198,23 +178,18 @@ func TestSaveLoadDeterministic(t *testing.T) {
 	}
 }
 
-// shardedLearners returns fresh, untrained instances of every learner
-// implementing learn.BatchPredictor, with the given prediction-cache
-// shard count where the learner has a cache.
-func shardedLearners(shards int) []learn.Learner {
-	return []learn.Learner{
-		namematcher.NewSharded(shards),
-		contentmatcher.NewSharded(shards),
-		naivebayes.New(),
-	}
+// batchLearners returns fresh, untrained instances of every learner
+// implementing learn.BatchPredictor.
+func batchLearners() []learn.Learner {
+	return []learn.Learner{namematcher.New(), contentmatcher.New(), naivebayes.New()}
 }
 
-// TestBatchPredictDeterministic is the acceptance test of the batched
-// serve path: PredictBatch and per-instance Predict must be
-// bit-identical — at the learner level for every instance of an
-// unseen source, and at the system level for the full Match output —
-// across all four domains, cache shard counts {1, 8}, and worker
-// counts {1, 4, 8}.
+// TestBatchPredictDeterministic is the learner-level acceptance test of
+// the batched serve path: on all four domains, PredictBatch must be
+// bit-identical to per-instance Predict for every instance of an unseen
+// source. The system-level half, batched Match against the
+// per-instance reference scorer, is internal/core's
+// TestBatchedMatchDeterministic.
 func TestBatchPredictDeterministic(t *testing.T) {
 	for _, d := range datagen.Domains() {
 		t.Run(d.Name, func(t *testing.T) {
@@ -226,10 +201,10 @@ func TestBatchPredictDeterministic(t *testing.T) {
 			}
 			test := specs[len(specs)-1].Generate(15, 11)
 
-			// Learner-level: batch-score every instance of the unseen
-			// source and compare against a fresh copy's per-instance
-			// Predict (fresh, so the reference cannot be served from a
-			// cache the batch pass warmed).
+			// Batch-score every instance of the unseen source and compare
+			// against a fresh copy's per-instance Predict (fresh, so the
+			// reference cannot be served from a cache the batch pass
+			// warmed).
 			labels := med.Labels()
 			examples := core.ExtractExamples(med, train, 0)
 			cols, err := core.CollectColumns(context.Background(), med, test, 0)
@@ -245,71 +220,32 @@ func TestBatchPredictDeterministic(t *testing.T) {
 			for _, tag := range tags {
 				ins = append(ins, cols[tag]...)
 			}
-			for _, shards := range []int{1, 8} {
-				refs := shardedLearners(shards)
-				for li, l := range shardedLearners(shards) {
-					if err := l.Train(labels, examples); err != nil {
-						t.Fatalf("shards=%d: training %s: %v", shards, l.Name(), err)
+			refs := batchLearners()
+			for li, l := range batchLearners() {
+				if err := l.Train(labels, examples); err != nil {
+					t.Fatalf("training %s: %v", l.Name(), err)
+				}
+				if err := refs[li].Train(labels, examples); err != nil {
+					t.Fatalf("training reference %s: %v", l.Name(), err)
+				}
+				bp, ok := l.(learn.BatchPredictor)
+				if !ok {
+					t.Fatalf("%s does not implement learn.BatchPredictor", l.Name())
+				}
+				batch := bp.PredictBatch(ins)
+				if len(batch) != len(ins) {
+					t.Fatalf("%s: %d predictions for %d instances", l.Name(), len(batch), len(ins))
+				}
+				for i, in := range ins {
+					want := refs[li].Predict(in)
+					if len(batch[i]) != len(want) {
+						t.Fatalf("%s instance %d: %d labels, want %d", l.Name(), i, len(batch[i]), len(want))
 					}
-					if err := refs[li].Train(labels, examples); err != nil {
-						t.Fatalf("shards=%d: training reference %s: %v", shards, l.Name(), err)
-					}
-					bp, ok := l.(learn.BatchPredictor)
-					if !ok {
-						t.Fatalf("%s does not implement learn.BatchPredictor", l.Name())
-					}
-					batch := bp.PredictBatch(ins)
-					if len(batch) != len(ins) {
-						t.Fatalf("shards=%d %s: %d predictions for %d instances", shards, l.Name(), len(batch), len(ins))
-					}
-					for i, in := range ins {
-						want := refs[li].Predict(in)
-						if len(batch[i]) != len(want) {
-							t.Fatalf("shards=%d %s instance %d: %d labels, want %d",
-								shards, l.Name(), i, len(batch[i]), len(want))
+					for label, s := range want {
+						if g, ok := batch[i][label]; !ok || g != s {
+							t.Fatalf("%s instance %d label %s: batch %.17g, per-instance %.17g",
+								l.Name(), i, label, g, s)
 						}
-						for label, s := range want {
-							if g, ok := batch[i][label]; !ok || g != s {
-								t.Fatalf("shards=%d %s instance %d label %s: batch %.17g, per-instance %.17g",
-									shards, l.Name(), i, label, g, s)
-							}
-						}
-					}
-				}
-			}
-
-			// System-level: one trained system, matched with the batched
-			// path at every worker count against the per-instance
-			// reference path.
-			for _, shards := range []int{1, 8} {
-				shards := shards
-				cfg := core.DefaultConfig()
-				cfg.Workers = 2
-				cfg.BaseLearners = []core.LearnerSpec{
-					{Name: "NameMatcher", Factory: func() learn.Learner { return namematcher.NewSharded(shards) }},
-					{Name: "ContentMatcher", Factory: func() learn.Learner { return contentmatcher.NewSharded(shards) }},
-					{Name: "NaiveBayes", Factory: naivebayes.Factory},
-				}
-				sys, err := core.Train(med, train, cfg)
-				if err != nil {
-					t.Fatalf("shards=%d: Train: %v", shards, err)
-				}
-				refRes, err := sys.WithBatchPredict(false).WithWorkers(1).Match(context.Background(), test)
-				if err != nil {
-					t.Fatalf("shards=%d: reference Match: %v", shards, err)
-				}
-				want := matchFingerprint(sys, refRes)
-				if want == "" {
-					t.Fatal("empty reference match fingerprint")
-				}
-				for _, w := range []int{1, 4, 8} {
-					res, err := sys.WithWorkers(w).Match(context.Background(), test)
-					if err != nil {
-						t.Fatalf("shards=%d workers=%d: Match: %v", shards, w, err)
-					}
-					if got := matchFingerprint(sys, res); got != want {
-						t.Errorf("shards=%d workers=%d: batched match differs from per-instance reference\nreference:\n%s\ngot:\n%s",
-							shards, w, want, got)
 					}
 				}
 			}
@@ -330,7 +266,7 @@ func TestMatchRepeatedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := matchFingerprint(sys, first), matchFingerprint(sys, second); a != b {
+	if a, b := modeltest.MatchFingerprint(sys, first), modeltest.MatchFingerprint(sys, second); a != b {
 		t.Errorf("repeated Match differs:\nfirst:\n%s\nsecond:\n%s", a, b)
 	}
 }

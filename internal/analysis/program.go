@@ -153,32 +153,34 @@ func (p *Program) Cache(key string, compute func() any) any {
 
 // CalleeOf resolves the static callee of a call expression: a
 // package-level function, or a method resolved through go/types on a
-// concrete receiver. It returns nil for dynamic calls (func values,
-// interface methods), type conversions, and builtins.
+// concrete receiver. A call of an instantiated generic function or
+// method resolves to its generic declaration, the object the
+// program's declarations are keyed by. It returns nil for dynamic
+// calls (func values, interface methods), type conversions, and
+// builtins.
 func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
 			if sel.Kind() != types.MethodVal {
 				return nil // field of func type: dynamic
 			}
-			fn, _ := sel.Obj().(*types.Func)
-			if fn == nil {
-				return nil
-			}
 			if _, ok := sel.Recv().Underlying().(*types.Interface); ok {
 				return nil // interface dispatch: dynamic
 			}
-			return fn
+			fn, _ = sel.Obj().(*types.Func)
+		} else {
+			// Package-qualified identifier (pkg.F).
+			fn, _ = info.Uses[fun.Sel].(*types.Func)
 		}
-		// Package-qualified identifier (pkg.F).
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // callsIn collects the statically resolved callees in node, sorted by

@@ -107,3 +107,12 @@ func describe(n int) string {
 }
 
 var _ = describe(0)
+
+// table is generic like the memo table behind the prediction caches;
+// Memo reaches put only through an instantiation of it.
+type table[V any] struct{ m map[string]V }
+
+func (t *table[V]) put(k string, v V) { t.m = map[string]V{k: v} }
+
+// lint:hot
+func Memo(t *table[int]) { t.put("k", 1) }

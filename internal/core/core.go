@@ -17,6 +17,7 @@ import (
 	"repro/internal/learners/naivebayes"
 	"repro/internal/learners/namematcher"
 	"repro/internal/learners/xmllearner"
+	"repro/internal/memo"
 	"repro/internal/meta"
 	"repro/internal/parallel"
 	"repro/internal/pool"
@@ -112,14 +113,6 @@ type Config struct {
 	Handler *constraint.Handler
 	// Seed drives the cross-validation shuffles.
 	Seed int64
-	// DisableBatchPredict forces Match onto the per-instance Predict
-	// path, bypassing learn.BatchPredictor batching and column-level
-	// deduplication. A verification knob, not a tuning one: the
-	// determinism suite A/Bs it to prove the batched and per-instance
-	// paths produce bit-identical matches.
-	//
-	//lint:ignore statecodec an evaluation-strategy toggle with no effect on results (enforced by determinism tests), not trained state; persisting it would be meaningless
-	DisableBatchPredict bool
 	// Workers bounds the concurrency of training and matching: 0 (or
 	// negative) uses one worker per CPU (runtime.GOMAXPROCS), 1 is the
 	// serial fallback, n > 1 uses n workers. Every parallel stage
@@ -167,10 +160,9 @@ type System struct {
 	// combined memoizes post-stacker predictions by instance key, so a
 	// leaf value the system has scored before — in an earlier request,
 	// another listing, or another tag — skips every learner and the
-	// stacker entirely. A pointer, so WithWorkers/WithBatchPredict views
-	// share it with the system they view. The reference (per-instance)
-	// path never consults it.
-	combined *memo[learn.Prediction]
+	// stacker entirely. A pointer, so WithWorkers views share it with
+	// the system they view.
+	combined *memo.Table[learn.Prediction]
 }
 
 // Train runs the training phase of §3.1 on the given training sources
@@ -189,14 +181,12 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	// task owns its rand state and the fan-out stays deterministic.
 	interimSeed := learn.DeriveSeed(cfg.Seed, 0)
 	finalSeed := learn.DeriveSeed(cfg.Seed, 1)
-	mcfg := cfg.Meta
-	mcfg.Workers = cfg.Workers
 
 	// Steps 2-3: extract data and create training examples. All
 	// learners share the instance set; each extracts its own features.
 	examples := ExtractExamples(med, sources, cfg.MaxListings)
 
-	sys := &System{cfg: cfg, mediated: med, labels: labels, combined: new(memo[learn.Prediction])}
+	sys := &System{cfg: cfg, mediated: med, labels: labels, combined: new(memo.Table[learn.Prediction])}
 
 	// Step 4: train the base learners.
 	factories := make([]learn.Factory, 0, len(cfg.BaseLearners)+1)
@@ -213,7 +203,7 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 		trainLab := trainLabeler(sources)
 		var interim *ensembleLabeler
 		if len(cfg.BaseLearners) > 0 {
-			interimStack, err := meta.Train(labels, sys.names, factories, examples, mcfg, interimSeed)
+			interimStack, err := meta.Train(labels, sys.names, factories, examples, cfg.Meta, interimSeed, cfg.Workers)
 			if err != nil {
 				return nil, fmt.Errorf("core: interim meta-learner: %w", err)
 			}
@@ -256,7 +246,7 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	sys.learners = trained
 
 	// Step 5: train the meta-learner by stacking over all learners.
-	stacker, err := meta.Train(labels, sys.names, factories, examples, mcfg, finalSeed)
+	stacker, err := meta.Train(labels, sys.names, factories, examples, cfg.Meta, finalSeed, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: meta-learner: %w", err)
 	}
@@ -312,14 +302,14 @@ type ensembleLabeler struct {
 	mediated *Mediated
 	learners []learn.Learner
 	stacker  *meta.Stacker
-	cache    memo[string]
+	cache    memo.Table[string]
 }
 
 // LabelNode implements xmllearner.NodeLabeler.
 func (e *ensembleLabeler) LabelNode(n *xmltree.Node, path []string) string {
 	content := n.Content()
 	key := instanceKey(n.Tag, path, content)
-	if label, ok := e.cache.get(key); ok {
+	if label, ok := e.cache.Get(key); ok {
 		return label
 	}
 	in := learn.Instance{
@@ -337,7 +327,7 @@ func (e *ensembleLabeler) LabelNode(n *xmltree.Node, path []string) string {
 	if best == "" {
 		best = learn.Other
 	}
-	e.cache.put(key, best)
+	e.cache.Put(key, best)
 	return best
 }
 
@@ -445,6 +435,13 @@ type MatchResult struct {
 // scheduling new per-listing walks and per-instance predictions and
 // returns ctx's error.
 func (s *System) Match(ctx context.Context, src *Source, feedback ...constraint.Constraint) (*MatchResult, error) {
+	return s.match(ctx, src, s.combineBatch, feedback)
+}
+
+// match is Match with the per-column scorer as a parameter: Match
+// passes combineBatch, and the tests pass the per-instance reference
+// scorer that combineBatch must agree with bit for bit.
+func (s *System) match(ctx context.Context, src *Source, score func([]learn.Instance) []learn.Prediction, feedback []constraint.Constraint) (*MatchResult, error) {
 	if src == nil || src.Schema == nil {
 		return nil, fmt.Errorf("core: nil source")
 	}
@@ -472,7 +469,7 @@ func (s *System) Match(ctx context.Context, src *Source, feedback ...constraint.
 	}
 	perTag, err := parallel.Map(ctx, s.cfg.Workers, len(tags),
 		func(_ context.Context, ti int) ([]learn.Prediction, error) {
-			return s.combineBatch(batches[ti]), nil
+			return score(batches[ti]), nil
 		})
 	if err != nil {
 		return nil, fmt.Errorf("core: matching %s: %w", src.Name, err)
@@ -534,19 +531,6 @@ func (s *System) combineBatch(batch []learn.Instance) []learn.Prediction {
 	if len(batch) == 0 {
 		return out
 	}
-	if s.cfg.DisableBatchPredict {
-		// Reference path: per-instance Predict, per-instance Combine, in
-		// batch order. The batched path below must match it bit for bit.
-		base := predScratch.Get(len(s.learners))
-		for i, in := range batch {
-			for j, l := range s.learners {
-				base[j] = l.Predict(in)
-			}
-			out[i] = s.stacker.Combine(base)
-		}
-		predScratch.Put(base)
-		return out
-	}
 	pos := make([]int, len(batch))
 	idx := make(map[string]int, len(batch))
 	uniq := make([]learn.Instance, 0, len(batch))
@@ -574,7 +558,7 @@ func (s *System) combineBatch(batch []learn.Instance) []learn.Prediction {
 	missIns := uniq[:0:0]
 	var missSlots []int
 	for u, in := range uniq {
-		if p, ok := s.combined.get(keys[u]); ok {
+		if p, ok := s.combined.Get(keys[u]); ok {
 			combined[u] = p
 			continue
 		}
@@ -592,7 +576,7 @@ func (s *System) combineBatch(batch []learn.Instance) []learn.Prediction {
 				base[j] = perLearner[j][mi]
 			}
 			combined[u] = s.stacker.Combine(base)
-			s.combined.put(keys[u], combined[u])
+			s.combined.Put(keys[u], combined[u])
 		}
 		predScratch.Put(base)
 	}

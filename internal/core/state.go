@@ -12,6 +12,7 @@ import (
 	"repro/internal/dtd"
 	"repro/internal/learn"
 	"repro/internal/learners/xmllearner"
+	"repro/internal/memo"
 	"repro/internal/meta"
 )
 
@@ -128,7 +129,7 @@ func FromState(st *SystemState, workers int) (*System, error) {
 		names:    append([]string(nil), st.Names...),
 		learners: append([]learn.Learner(nil), st.Learners...),
 		stacker:  st.Stacker,
-		combined: new(memo[learn.Prediction]),
+		combined: new(memo.Table[learn.Prediction]),
 	}
 	if len(st.InterimLearners) > 0 {
 		if st.InterimStacker == nil {
@@ -161,19 +162,5 @@ func (s *System) WithWorkers(workers int) *System {
 	}
 	view := *s
 	view.cfg.Workers = workers
-	return &view
-}
-
-// WithBatchPredict returns a view of the system with the batched
-// predict path enabled or disabled (Config.DisableBatchPredict). Like
-// WithWorkers it shares all trained state; the determinism suite uses
-// it to A/B the batched path against the per-instance reference on
-// one trained system.
-func (s *System) WithBatchPredict(enabled bool) *System {
-	if s.cfg.DisableBatchPredict == !enabled {
-		return s
-	}
-	view := *s
-	view.cfg.DisableBatchPredict = !enabled
 	return &view
 }

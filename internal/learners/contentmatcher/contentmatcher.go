@@ -31,16 +31,6 @@ func New() learn.Learner {
 	return whirl.New("ContentMatcher", extract, config())
 }
 
-// NewSharded returns an untrained content matcher whose prediction
-// cache uses the given shard count. Shard count never changes
-// predictions (the determinism suite sweeps it); it only tunes lock
-// contention.
-func NewSharded(shards int) learn.Learner {
-	cfg := config()
-	cfg.CacheShards = shards
-	return whirl.New("ContentMatcher", extract, cfg)
-}
-
 // Factory is a learn.Factory for the content matcher.
 func Factory() learn.Learner { return New() }
 

@@ -21,15 +21,6 @@ func New() learn.Learner {
 	return whirl.New("NameMatcher", extract, whirl.DefaultConfig())
 }
 
-// NewSharded returns an untrained name matcher whose prediction cache
-// uses the given shard count. Shard count never changes predictions
-// (the determinism suite sweeps it); it only tunes lock contention.
-func NewSharded(shards int) learn.Learner {
-	cfg := whirl.DefaultConfig()
-	cfg.CacheShards = shards
-	return whirl.New("NameMatcher", extract, cfg)
-}
-
 // Factory is a learn.Factory for the name matcher.
 func Factory() learn.Learner { return New() }
 

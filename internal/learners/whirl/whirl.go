@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"repro/internal/learn"
+	"repro/internal/memo"
 	"repro/internal/pool"
 	"repro/internal/text"
 )
@@ -41,14 +42,6 @@ type Config struct {
 	// Smoothing is added to every label score before normalization so
 	// no label is ever ruled out entirely.
 	Smoothing float64
-	// CacheShards sets the number of prediction-cache lock shards,
-	// rounded up to a power of two; zero selects the default. Purely a
-	// process-local concurrency knob: shard count never changes which
-	// prediction is returned (entries are pure functions of the
-	// extracted text and the frozen model), so like core.Config.Workers
-	// it is deliberately not part of the persisted model state.
-	//lint:ignore statecodec CacheShards is a process-local lock-sharding knob with no effect on predictions; persisting it would pin a host concurrency choice into the artifact
-	CacheShards int
 }
 
 // DefaultConfig matches the behaviour described in the paper: consider
@@ -87,17 +80,11 @@ type Classifier struct {
 	// allocates nothing for scoring.
 	scratch pool.Floats
 	// cache memoizes predictions by extracted text: name-matcher inputs
-	// repeat once per column instance, so hit rates are very high. It
-	// is sharded by key hash so the parallel match/CV fan-out and
-	// concurrent serve requests do not serialize on one lock; entries
-	// are pure functions of the frozen model, so losing a concurrent
-	// insert only costs a recomputation, never determinism.
-	cache *predCache
+	// repeat once per column instance, so hit rates are very high.
+	// Entries are pure functions of the frozen model, so losing a
+	// concurrent insert only costs a recomputation, never determinism.
+	cache *memo.Table[learn.Prediction]
 }
-
-// maxCacheEntries bounds the prediction cache (both generations
-// together); each generation holds at most half.
-const maxCacheEntries = 8192
 
 // New returns an untrained classifier. name identifies it in reports;
 // extract selects the instance text.
@@ -106,7 +93,7 @@ func New(name string, extract Extractor, cfg Config) *Classifier {
 		name:    name,
 		extract: extract,
 		cfg:     cfg,
-		cache:   newPredCache(cfg.CacheShards, maxCacheEntries),
+		cache:   new(memo.Table[learn.Prediction]),
 	}
 }
 
@@ -152,10 +139,9 @@ func (c *Classifier) Train(labels []string, examples []learn.Example) error {
 		c.corpus.AddDocument(bags[i])
 	}
 	c.corpus.Freeze()
-	// Train is documented as happening-before any concurrent Predict,
-	// but the cache reset still takes the shard locks: it is free here
-	// and keeps the guarded-by invariant unconditional.
-	c.cache.reset()
+	// A fresh cache: no prediction of the previous model may be served.
+	// Train happens before any concurrent Predict.
+	c.cache = new(memo.Table[learn.Prediction])
 	c.docLabels = docLabels
 	c.postings = make([][]posting, c.corpus.Vocab().Len())
 	for i := range texts {
@@ -180,12 +166,12 @@ func (c *Classifier) Train(labels []string, examples []learn.Example) error {
 // lint:hot
 func (c *Classifier) Predict(in learn.Instance) learn.Prediction {
 	extracted := c.extract(in)
-	if p, ok := c.cache.get(extracted); ok {
+	if p, ok := c.cache.Get(extracted); ok {
 		return p
 	}
 	p := c.predict(extracted)
 	if c.corpus != nil {
-		c.cache.put(extracted, p)
+		c.cache.Put(extracted, p)
 	}
 	return p
 }
@@ -232,7 +218,7 @@ func (c *Classifier) PredictBatch(ins []learn.Instance) []learn.Prediction {
 		if !ok {
 			u = len(uniqPreds)
 			idx[extracted] = u
-			p, hit := c.cache.get(extracted)
+			p, hit := c.cache.Get(extracted)
 			uniqPreds = append(uniqPreds, p) // nil placeholder on miss
 			if !hit {
 				missTexts = append(missTexts, extracted)
@@ -246,7 +232,7 @@ func (c *Classifier) PredictBatch(ins []learn.Instance) []learn.Prediction {
 		c.predictChunk(missTexts[start:end], uniqPreds, missSlots[start:end])
 	}
 	for k, txt := range missTexts {
-		c.cache.put(txt, uniqPreds[missSlots[k]])
+		c.cache.Put(txt, uniqPreds[missSlots[k]])
 	}
 	for i := range ins {
 		out[i] = uniqPreds[pos[i]]

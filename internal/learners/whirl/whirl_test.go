@@ -1,8 +1,8 @@
 package whirl
 
 import (
-	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/learn"
@@ -192,51 +192,8 @@ func TestPredictCacheConsistent(t *testing.T) {
 	}
 	// Predictions are immutable by contract and the cache returns the
 	// shared instance rather than cloning per hit.
-	if &first == nil || &second == nil {
-		t.Fatal("unreachable")
-	}
-}
-
-func TestCacheGenerationsKeepHotEntries(t *testing.T) {
-	c := trained(t)
-	hot := learn.Instance{TagName: "phone"}
-	hotP := c.Predict(hot)
-	// Flood the cache with more distinct keys than one generation holds.
-	// The hot entry is re-requested along the way, so promotion keeps it
-	// resident across the rotation instead of it being dropped wholesale.
-	for i := 0; i < maxCacheEntries; i++ {
-		c.Predict(learn.Instance{TagName: fmt.Sprintf("filler-%d", i)})
-		if i%512 == 0 {
-			c.Predict(hot)
-		}
-	}
-	newN, oldN := 0, 0
-	resident := false
-	key := c.extract(hot)
-	for i := range c.cache.shards {
-		sh := &c.cache.shards[i]
-		sh.mu.Lock()
-		newN += len(sh.cur)
-		oldN += len(sh.old)
-		if _, ok := sh.cur[key]; ok {
-			resident = true
-		}
-		if _, ok := sh.old[key]; ok {
-			resident = true
-		}
-		sh.mu.Unlock()
-	}
-	if newN > maxCacheEntries/2 || newN+oldN > maxCacheEntries {
-		t.Errorf("cache exceeded bound: new=%d old=%d", newN, oldN)
-	}
-	if !resident {
-		t.Error("hot entry evicted despite repeated hits")
-	}
-	after := c.Predict(hot)
-	for l, s := range hotP {
-		if math.Abs(after[l]-s) > 1e-12 {
-			t.Errorf("hot prediction drifted for %s: %g vs %g", l, after[l], s)
-		}
+	if reflect.ValueOf(first).UnsafePointer() != reflect.ValueOf(second).UnsafePointer() {
+		t.Error("cache hit returned a copy, not the shared prediction")
 	}
 }
 

@@ -53,12 +53,6 @@ type Config struct {
 	// large negative weights to correlated learners and generalizes
 	// poorly to unseen sources.
 	AllowNegativeWeights bool
-	// Workers bounds the concurrency of the per-learner (and per-fold)
-	// cross-validation: 0 or negative = one worker per CPU, 1 = serial.
-	// The fitted weights are identical at every setting.
-	//
-	//lint:ignore statecodec a process-local concurrency budget; persisting it would pin a saved model to the machine that trained it
-	Workers int
 }
 
 // DefaultConfig returns the paper's configuration: 5-fold
@@ -72,9 +66,12 @@ func DefaultConfig() Config { return Config{Folds: 5} }
 // from the instances). seed drives the cross-validation shuffles: each
 // learner's CV gets its own RNG seeded by learn.DeriveSeed(seed, j),
 // so the per-learner rounds can run concurrently without sharing rand
-// state and produce identical folds at every worker count.
+// state and produce identical folds at every worker count. workers
+// bounds the concurrency of the per-learner (and per-fold)
+// cross-validation: 0 or negative = one worker per CPU, 1 = serial.
+// The fitted weights are identical at every setting.
 func Train(labels []string, names []string, factories []learn.Factory,
-	examples []learn.Example, cfg Config, seed int64) (*Stacker, error) {
+	examples []learn.Example, cfg Config, seed int64, workers int) (*Stacker, error) {
 	if len(names) != len(factories) {
 		return nil, fmt.Errorf("meta: %d names but %d factories", len(names), len(factories))
 	}
@@ -101,9 +98,9 @@ func Train(labels []string, names []string, factories []learn.Factory,
 		folds = 5
 	}
 	cv := make([][]learn.Prediction, k)
-	err := parallel.ForEach(context.Background(), cfg.Workers, k, func(_ context.Context, j int) error {
+	err := parallel.ForEach(context.Background(), workers, k, func(_ context.Context, j int) error {
 		rng := rand.New(rand.NewSource(learn.DeriveSeed(seed, int64(j))))
-		preds, err := learn.CrossValidate(factories[j], labels, examples, folds, rng, cfg.Workers)
+		preds, err := learn.CrossValidate(factories[j], labels, examples, folds, rng, workers)
 		if err != nil {
 			return fmt.Errorf("meta: CV for %s: %w", names[j], err)
 		}

@@ -95,7 +95,7 @@ func TestTrainWeightsFavorGoodLearner(t *testing.T) {
 			func() learn.Learner { return &oracle{} },
 			func() learn.Learner { return &antiOracle{} },
 		},
-		sharedExamples(), DefaultConfig(), seed)
+		sharedExamples(), DefaultConfig(), seed, 0)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestCombineUsesWeights(t *testing.T) {
 			func() learn.Learner { return &oracle{} },
 			func() learn.Learner { return &antiOracle{} },
 		},
-		sharedExamples(), DefaultConfig(), seed)
+		sharedExamples(), DefaultConfig(), seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCombinedBeatsUninformativeLearner(t *testing.T) {
 			func() learn.Learner { return &oracle{} },
 			func() learn.Learner { return &coin{} },
 		},
-		sharedExamples(), DefaultConfig(), seed)
+		sharedExamples(), DefaultConfig(), seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestUniformWeightsConfig(t *testing.T) {
 			func() learn.Learner { return &coin{} },
 			func() learn.Learner { return &coin{} },
 		},
-		sharedExamples(), cfg, 4)
+		sharedExamples(), cfg, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestUniformWeightsConfig(t *testing.T) {
 func TestTrainNoExamples(t *testing.T) {
 	st, err := Train(labels, []string{"a"},
 		[]learn.Factory{func() learn.Learner { return &coin{} }},
-		nil, DefaultConfig(), 5)
+		nil, DefaultConfig(), 5, 0)
 	if err != nil {
 		t.Fatalf("Train with no examples: %v", err)
 	}
@@ -179,10 +179,10 @@ func TestTrainNoExamples(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(labels, []string{"a"}, nil, nil, DefaultConfig(), 0); err == nil {
+	if _, err := Train(labels, []string{"a"}, nil, nil, DefaultConfig(), 0, 0); err == nil {
 		t.Error("mismatched names/factories should error")
 	}
-	if _, err := Train(labels, nil, nil, nil, DefaultConfig(), 0); err == nil {
+	if _, err := Train(labels, nil, nil, nil, DefaultConfig(), 0, 0); err == nil {
 		t.Error("no learners should error")
 	}
 }
@@ -190,7 +190,7 @@ func TestTrainErrors(t *testing.T) {
 func TestCombinePanicsOnArity(t *testing.T) {
 	st, _ := Train(labels, []string{"a"},
 		[]learn.Factory{func() learn.Learner { return &coin{} }},
-		nil, DefaultConfig(), 6)
+		nil, DefaultConfig(), 6, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("Combine with wrong arity did not panic")
@@ -206,7 +206,7 @@ func TestCombineIsNormalized(t *testing.T) {
 			func() learn.Learner { return &oracle{} },
 			func() learn.Learner { return &antiOracle{} },
 		},
-		sharedExamples(), DefaultConfig(), 7)
+		sharedExamples(), DefaultConfig(), 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCombineIsNormalized(t *testing.T) {
 func TestStringMentionsWeights(t *testing.T) {
 	st, _ := Train(labels, []string{"a"},
 		[]learn.Factory{func() learn.Learner { return &coin{} }},
-		nil, DefaultConfig(), 8)
+		nil, DefaultConfig(), 8, 0)
 	s := st.String()
 	if !strings.Contains(s, "ADDRESS") || !strings.Contains(s, "a=") {
 		t.Errorf("String() = %q", s)

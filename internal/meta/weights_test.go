@@ -28,7 +28,7 @@ func TestNormalizedWeightsSumToOne(t *testing.T) {
 			func() learn.Learner { return &antiOracle{} },
 			func() learn.Learner { return &coin{} },
 		},
-		sharedExamples(), DefaultConfig(), 9)
+		sharedExamples(), DefaultConfig(), 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRawWeightsConfig(t *testing.T) {
 			func() learn.Learner { return &oracle{} },
 			func() learn.Learner { return &coin{} },
 		},
-		sharedExamples(), cfg, 10)
+		sharedExamples(), cfg, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestAllowNegativeWeightsConfig(t *testing.T) {
 			func() learn.Learner { return &oracle{} },
 			func() learn.Learner { return &antiOracle{} },
 		},
-		sharedExamples(), cfg, 11)
+		sharedExamples(), cfg, 11, 0)
 	if err != nil {
 		t.Fatalf("unconstrained regression config: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestAllowNegativeWeightsConfig(t *testing.T) {
 func TestWeightUnknownLearner(t *testing.T) {
 	st, _ := Train(labels, []string{"a"},
 		[]learn.Factory{func() learn.Learner { return &coin{} }},
-		nil, DefaultConfig(), 12)
+		nil, DefaultConfig(), 12, 0)
 	if st.Weight("ADDRESS", "nope") != 0 {
 		t.Error("unknown learner weight should be 0")
 	}

@@ -2,12 +2,16 @@
 // a servable model without running the training pipeline: a name
 // matcher and a Naive Bayes learner fitted on a fixed real-estate
 // snippet, with hand-set stacker weights. Deterministic by
-// construction, so artifacts written from it are byte-stable.
+// construction, so artifacts written from it are byte-stable. It also
+// renders match results for bit-exact comparison.
 package modeltest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -114,4 +118,24 @@ func WriteArtifact(tb testing.TB, dir, name string) string {
 		tb.Fatal(err)
 	}
 	return path
+}
+
+// MatchFingerprint renders the mapping and every per-tag confidence
+// score in deterministic order. Scores print with %.17g, which
+// round-trips every finite float64, so two results with equal
+// fingerprints match bit for bit.
+func MatchFingerprint(sys *core.System, res *core.MatchResult) string {
+	tags := make([]string, 0, len(res.TagPredictions))
+	for tag := range res.TagPredictions {
+		tags = append(tags, tag)
+	}
+	sort.Strings(tags)
+	var b strings.Builder
+	for _, tag := range tags {
+		fmt.Fprintf(&b, "%s -> %s\n", tag, res.Mapping[tag])
+		for _, label := range sys.Labels() {
+			fmt.Fprintf(&b, "  %s=%.17g\n", label, res.TagPredictions[tag][label])
+		}
+	}
+	return b.String()
 }
