@@ -414,6 +414,51 @@ func BenchmarkMatchSerial(b *testing.B) { benchMatchWorkers(b, 1) }
 // is bit-identical to the serial run (see determinism_test.go).
 func BenchmarkMatchParallel(b *testing.B) { benchMatchWorkers(b, 0) }
 
+// wide is BenchmarkMatchWide's fixture, trained on first use: Real
+// Estate II trained the way servebench's wide workload trains it, and
+// the count of source-4 samples drawn so far, so that every timed
+// match gets a fresh one. Benchmarks run one at a time.
+var wide struct {
+	sys     *core.System
+	spec    *datagen.SourceSpec
+	samples int64
+}
+
+// BenchmarkMatchWide is an in-process counter for servebench's wide
+// workload: Real Estate II (66 labels) trained on sources 1–3 with 20
+// listings each, sample seed 1, one worker; each iteration matches a
+// fresh 20-listing source-4 sample generated before the timer starts,
+// so the learners run on unseen values as they do for wide's requests.
+func BenchmarkMatchWide(b *testing.B) {
+	if wide.sys == nil {
+		d := datagen.RealEstateII()
+		specs := d.Sources()
+		var train []*core.Source
+		for _, spec := range specs[:3] {
+			train = append(train, spec.Generate(20, 1))
+		}
+		cfg := core.DefaultConfig()
+		cfg.Workers = 1
+		sys, err := core.Train(d.Mediated(), train, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wide.sys, wide.spec = sys, specs[3]
+	}
+	srcs := make([]*core.Source, b.N)
+	for i := range srcs {
+		srcs[i] = wide.spec.Generate(20, learn.DeriveSeed(952, wide.samples))
+		wide.samples++
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, src := range srcs {
+		if _, err := wide.sys.Match(context.Background(), src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkConstraintRun measures the constraint handler alone (A*
 // search plus local repair), per domain, on one held-out source's
 // recorded tag predictions and constraint source: the matching stage

@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sort"
@@ -121,11 +122,25 @@ func TestMatchDeterministic(t *testing.T) {
 	}
 }
 
+// pinnedFingerprints are the SHA-256 sums of modeltest.MatchFingerprint
+// for TestSaveLoadDeterministic's four matches, recorded when
+// predictions were label → score maps: the mapping and every score of
+// the dense representation must stay bit-identical to those. They
+// hold on amd64, where Go does not fuse multiply-adds; other
+// architectures may round differently and skip the check.
+var pinnedFingerprints = map[string]string{
+	"Real Estate I":    "7fc3aaae6b64701105f5e327fcf578df9a133d032b21e2b6d36cc7d04ff4d83a",
+	"Time Schedule":    "30113e87b700134403284f4298b702472b21294e4f5617db3f25e045f6da9f3d",
+	"Faculty Listings": "695187643ec06b243967bab3bf3f18c8ee942af374cf1b83884935c576cf6402",
+	"Real Estate II":   "aa40e9d7c545c73fb2f0f318cef41e0f84bcaf4ee7c14d4f54fcb04e4b6f4579",
+}
+
 // TestSaveLoadDeterministic asserts the model-artifact round trip is
 // lossless in behaviour, not just in bytes: for every domain, a
 // matcher restored from an encoded artifact proposes bit-identical
 // mappings and confidence scores to the matcher it was saved from, on
-// every instance of an unseen source.
+// every instance of an unseen source. On amd64 the trained matcher's
+// output must also match its pinned fingerprint.
 func TestSaveLoadDeterministic(t *testing.T) {
 	for _, d := range datagen.Domains() {
 		t.Run(d.Name, func(t *testing.T) {
@@ -150,6 +165,11 @@ func TestSaveLoadDeterministic(t *testing.T) {
 			want := modeltest.MatchFingerprint(sys, res)
 			if want == "" {
 				t.Fatal("empty match fingerprint")
+			}
+			if runtime.GOARCH == "amd64" {
+				if got := fmt.Sprintf("%x", sha256.Sum256([]byte(want))); got != pinnedFingerprints[d.Name] {
+					t.Errorf("match fingerprint sha256 %s, pinned %s\n%s", got, pinnedFingerprints[d.Name], want)
+				}
 			}
 
 			data, err := artifact.EncodeSystem(d.Name, sys)
@@ -238,11 +258,11 @@ func TestBatchPredictDeterministic(t *testing.T) {
 				}
 				for i, in := range ins {
 					want := refs[li].Predict(in)
-					if len(batch[i]) != len(want) {
-						t.Fatalf("%s instance %d: %d labels, want %d", l.Name(), i, len(batch[i]), len(want))
+					if batch[i].Len() != want.Len() {
+						t.Fatalf("%s instance %d: %d labels, want %d", l.Name(), i, batch[i].Len(), want.Len())
 					}
-					for label, s := range want {
-						if g, ok := batch[i][label]; !ok || g != s {
+					for label, s := range want.Map() {
+						if g, ok := batch[i].Map()[label]; !ok || g != s {
 							t.Fatalf("%s instance %d label %s: batch %.17g, per-instance %.17g",
 								l.Name(), i, label, g, s)
 						}

@@ -16,8 +16,9 @@
 //     function literal.
 //   - guardedby: fields tagged `// guarded by <mutex>` are only
 //     touched while that mutex is held on a syntactic lock path.
-//   - normalizedpred: learn.Prediction values built in an exported
-//     function are normalized before they cross the package boundary;
+//   - normalizedpred: learn.Prediction values built with
+//     learn.NewPrediction in an exported function are normalized
+//     before they cross the package boundary;
 //     returns through unexported helpers are followed one summary
 //     level deep.
 //   - lockorder: no mutex acquisition-order cycles and no same-mutex

@@ -9,24 +9,31 @@ import (
 
 // NormalizedPred enforces the learn.Prediction contract (§2.2: scores
 // sum to 1): an exported function or method that returns a Prediction
-// it built itself — via make or a composite literal — must call
-// Normalize on it before the value crosses the package boundary.
-// Predictions the function merely passes through are not re-checked.
-// The meta-learner's regression and the constraint handler both
-// consume raw scores arithmetically, so one unnormalized distribution
-// silently skews weights instead of failing loudly.
+// it built itself — a fresh score vector from learn.NewPrediction —
+// must call Normalize on it before the value crosses the package
+// boundary. Predictions the function merely passes through are not
+// re-checked. The meta-learner's regression and the constraint handler
+// both consume raw scores arithmetically, so one unnormalized
+// distribution silently skews weights instead of failing loudly.
 //
-// Returned call expressions to exported callees are trusted (the
-// callee owns the invariant and is itself checked where it is
-// declared). A returned call to an *unexported* helper is followed one
-// summary level deep: if the helper builds a Prediction and returns it
-// without Normalize, the raw distribution escapes through the exported
-// caller even though no exported function built it — the finding is
-// reported at the helper's offending return so a justified
-// //lint:ignore there covers every caller.
+// NewPrediction is the only way to build a score vector outside
+// package learn: the type's fields are unexported, so a composite
+// literal elsewhere is the empty prediction, which has nothing to
+// normalize, and package learn's own constructors (Uniform, Clone)
+// are normalized by construction.
+//
+// A returned NewPrediction call is a raw all-zero vector and is
+// reported. Other returned call expressions to exported callees are
+// trusted (the callee owns the invariant and is itself checked where
+// it is declared). A returned call to an *unexported* helper is
+// followed one summary level deep: if the helper builds a Prediction
+// and returns it without Normalize, the raw distribution escapes
+// through the exported caller even though no exported function built
+// it — the finding is reported at the helper's offending return so a
+// justified //lint:ignore there covers every caller.
 var NormalizedPred = &Analyzer{
 	Name: "normalizedpred",
-	Doc:  "flags learn.Prediction values built and returned by exported functions without Normalize",
+	Doc:  "flags learn.Prediction values built with NewPrediction and returned by exported functions without Normalize",
 	Run:  runNormalizedPred,
 }
 
@@ -128,14 +135,16 @@ func checkPredReturns(pass *Pass, fd *ast.FuncDecl, pred *types.TypeName, st *np
 func checkReturnedPred(pass *Pass, fd *ast.FuncDecl, e ast.Expr, retPos token.Pos, pred *types.TypeName, st *npState) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.CallExpr:
+		if isNewPrediction(pass, e, pred) {
+			pass.Reportf(e.Pos(),
+				"fresh learn.NewPrediction vector returned from exported %s without Normalize", fd.Name.Name)
+			return
+		}
 		// An exported callee owns the invariant and is checked where
 		// it is declared (Normalize itself, constructors, another
 		// learner's Predict). An unexported helper is nobody's
 		// responsibility unless we follow it one summary level deep.
 		checkHelperCall(pass, fd, e, pred, st)
-	case *ast.CompositeLit:
-		pass.Reportf(e.Pos(),
-			"learn.Prediction literal returned from exported %s without Normalize", fd.Name.Name)
 	case *ast.Ident:
 		obj := identObj(pass, e)
 		if obj == nil || !builtInFunc(pass, fd, obj, pred) {
@@ -173,8 +182,8 @@ func checkHelperCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, pred *typ
 }
 
 // helperUnnormReturns summarizes an unexported helper: the positions
-// of returns where it hands back a Prediction it built (composite
-// literal, or make without a preceding Normalize). Returned calls are
+// of returns where it hands back a Prediction it built with
+// NewPrediction without a preceding Normalize. Other returned calls are
 // trusted — the summary is one level deep by design.
 func helperUnnormReturns(pass *Pass, fn *types.Func, pred *types.TypeName) []token.Pos {
 	d := pass.Prog.DeclOf(fn)
@@ -203,8 +212,10 @@ func helperUnnormReturns(pass *Pass, fn *types.Func, pred *types.TypeName) []tok
 				continue
 			}
 			switch e := ast.Unparen(ret.Results[i]).(type) {
-			case *ast.CompositeLit:
-				out = append(out, e.Pos())
+			case *ast.CallExpr:
+				if isNewPrediction(hp, e, pred) {
+					out = append(out, e.Pos())
+				}
 			case *ast.Ident:
 				obj := identObj(hp, e)
 				if obj == nil || !builtInFunc(hp, d.Decl, obj, pred) {
@@ -220,8 +231,8 @@ func helperUnnormReturns(pass *Pass, fn *types.Func, pred *types.TypeName) []tok
 	return out
 }
 
-// builtInFunc reports whether obj is initialized inside fd by make or
-// a composite literal — i.e. the function constructs the prediction
+// builtInFunc reports whether obj is initialized inside fd by a
+// NewPrediction call — i.e. the function constructs the prediction
 // rather than receiving it.
 func builtInFunc(pass *Pass, fd *ast.FuncDecl, obj types.Object, pred *types.TypeName) bool {
 	if obj.Pos() < fd.Body.Pos() || obj.Pos() >= fd.Body.End() {
@@ -237,26 +248,20 @@ func builtInFunc(pass *Pass, fd *ast.FuncDecl, obj types.Object, pred *types.Typ
 			if identObj(pass, lhs) != obj || i >= len(as.Rhs) {
 				continue
 			}
-			switch rhs := ast.Unparen(as.Rhs[i]).(type) {
-			case *ast.CompositeLit:
+			if call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr); ok && isNewPrediction(pass, call, pred) {
 				built = true
-			case *ast.CallExpr:
-				if id, ok := rhs.Fun.(*ast.Ident); ok && id.Name == "make" {
-					if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
-						continue
-					}
-					// Confirm the made type is Prediction.
-					if len(rhs.Args) > 0 {
-						if t := pass.Info.TypeOf(rhs.Args[0]); t != nil && isPredType(t, pred) {
-							built = true
-						}
-					}
-				}
 			}
 		}
 		return !built
 	})
 	return built
+}
+
+// isNewPrediction reports whether call is a call to the NewPrediction
+// constructor of the package that declares the Prediction type.
+func isNewPrediction(pass *Pass, call *ast.CallExpr, pred *types.TypeName) bool {
+	fn := CalleeOf(pass.Info, call)
+	return fn != nil && fn.Name() == "NewPrediction" && fn.Pkg() == pred.Pkg()
 }
 
 // normalizedBefore reports whether obj.Normalize() is called anywhere

@@ -1,84 +1,88 @@
 // Package fixtures exercises the normalizedpred analyzer: true
-// positives in Literal and BuiltNoNormalize, true negatives in the
-// rest.
+// positives in Fresh, BuiltNoNormalize and Escapes, true negatives in
+// the rest.
 package fixtures
 
 import "repro/internal/learn"
 
-func Literal() learn.Prediction {
-	return learn.Prediction{"a": 1} // raw literal crosses the boundary
+func Fresh(t *learn.Labels) learn.Prediction {
+	return learn.NewPrediction(t) // a raw zero vector crosses the boundary
 }
 
-func BuiltNoNormalize(labels []string) learn.Prediction {
-	p := make(learn.Prediction, len(labels))
-	for _, c := range labels {
-		p[c] = 1
+func BuiltNoNormalize(t *learn.Labels) learn.Prediction {
+	p := learn.NewPrediction(t)
+	for id := range p.Scores() {
+		p.Scores()[id] = 1
 	}
 	return p // built here, never normalized
 }
 
-func BuiltNormalized(labels []string) learn.Prediction {
-	p := make(learn.Prediction, len(labels))
-	for _, c := range labels {
-		p[c] = 1
+func BuiltNormalized(t *learn.Labels) learn.Prediction {
+	p := learn.NewPrediction(t)
+	for id := range p.Scores() {
+		p.Scores()[id] = 1
 	}
 	return p.Normalize()
 }
 
-func NormalizedEarlier(labels []string) learn.Prediction {
-	p := make(learn.Prediction, len(labels))
-	for _, c := range labels {
-		p[c] = 1
+func NormalizedEarlier(t *learn.Labels) learn.Prediction {
+	p := learn.NewPrediction(t)
+	for id := range p.Scores() {
+		p.Scores()[id] = 1
 	}
 	p.Normalize()
 	return p
 }
 
-func Delegates(labels []string) learn.Prediction {
-	return learn.Uniform(labels) // the callee owns the invariant
+func Delegates(t *learn.Labels) learn.Prediction {
+	return learn.Uniform(t) // the callee owns the invariant
 }
 
 func PassThrough(p learn.Prediction) learn.Prediction {
 	return p // not built here; the producer already normalized it
 }
 
-func unexportedLiteral() learn.Prediction {
-	return learn.Prediction{"a": 1} // package-internal values are not checked
+func Empty() learn.Prediction {
+	return learn.Prediction{} // the empty prediction has nothing to normalize
 }
 
-func Suppressed() learn.Prediction {
+func unexportedFresh(t *learn.Labels) learn.Prediction {
+	return learn.NewPrediction(t) // package-internal values are not checked
+}
+
+func Suppressed(t *learn.Labels) learn.Prediction {
 	//lint:ignore normalizedpred fixture demonstrating a justified suppression
-	return learn.Prediction{"a": 1}
+	return learn.NewPrediction(t)
 }
 
 // rawScores builds a Prediction and returns it raw. Package-internal
 // on its own — but Escapes hands it straight across the boundary, so
 // the finding lands on the return below.
-func rawScores(labels []string) learn.Prediction {
-	p := make(learn.Prediction, len(labels))
-	for _, c := range labels {
-		p[c] = 1
+func rawScores(t *learn.Labels) learn.Prediction {
+	p := learn.NewPrediction(t)
+	for id := range p.Scores() {
+		p.Scores()[id] = 1
 	}
 	return p
 }
 
 // Escapes returns the helper's raw distribution: the interprocedural
 // true positive the intraprocedural pass missed.
-func Escapes(labels []string) learn.Prediction {
-	return rawScores(labels)
+func Escapes(t *learn.Labels) learn.Prediction {
+	return rawScores(t)
 }
 
 // normalizedScores normalizes before returning, so Clean is fine.
-func normalizedScores(labels []string) learn.Prediction {
-	p := make(learn.Prediction, len(labels))
-	for _, c := range labels {
-		p[c] = 1
+func normalizedScores(t *learn.Labels) learn.Prediction {
+	p := learn.NewPrediction(t)
+	for id := range p.Scores() {
+		p.Scores()[id] = 1
 	}
 	return p.Normalize()
 }
 
-func Clean(labels []string) learn.Prediction {
-	return normalizedScores(labels)
+func Clean(t *learn.Labels) learn.Prediction {
+	return normalizedScores(t)
 }
 
-var _ = unexportedLiteral
+var _ = unexportedFresh

@@ -130,7 +130,7 @@ func ProbCost(preds map[string]learn.Prediction, m Assignment) float64 {
 	sort.Strings(tags)
 	cost := 0.0
 	for _, tag := range tags {
-		s := preds[tag][m[tag]]
+		s := preds[tag].Score(m[tag])
 		if s < eps {
 			s = eps
 		}

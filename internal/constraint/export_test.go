@@ -27,3 +27,6 @@ func (h *Handler) Candidates(src *Source, preds map[string]learn.Prediction) map
 	}
 	return out
 }
+
+// PredOf is predOf for the external tests.
+var PredOf = predOf

@@ -316,7 +316,7 @@ func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
 			deg[k] = c.Violations(src, m, true)
 		}
 		for i, tag := range order {
-			term[i] = negLog(preds[tag][m[tag]])
+			term[i] = negLog(preds[tag].Score(m[tag]))
 		}
 	}
 	if !math.IsInf(cur, 1) {
@@ -358,10 +358,10 @@ func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
 				d -= c.Weight() * deg[k]
 			}
 		}
-		ti, tj := negLog(preds[order[i]][b]), 0.0
+		ti, tj := negLog(preds[order[i]].Score(b)), 0.0
 		d += h.Alpha * (ti - term[i])
 		if j >= 0 {
-			tj = negLog(preds[order[j]][a])
+			tj = negLog(preds[order[j]].Score(a))
 			d += h.Alpha * (tj - term[j])
 		}
 		// d is the change the full test below would see, up to
@@ -520,28 +520,43 @@ func (h *Handler) candidates(src *Source, order []string, preds map[string]learn
 	}
 	out := make([][]candidate, len(order))
 	for i, tag := range order {
+		// Every label in label order, then stably by decreasing score:
+		// equal scores keep label order.
 		p := preds[tag]
-		labels := p.Labels()
-		cs := make([]candidate, 0, len(labels))
-		for _, l := range labels {
-			cs = append(cs, candidate{l, p[l]})
+		labels, scores := p.Labels(), p.Scores()
+		cs := make([]candidate, 0, p.Len()+2)
+		for _, id := range labels.Sorted() {
+			cs = append(cs, candidate{labels.Name(id), scores[id]})
 		}
-		sort.SliceStable(cs, func(a, b int) bool { return cs[a].score > cs[b].score })
+		slices.SortStableFunc(cs, byScoreDesc)
 		if h.TopK > 0 && len(cs) > h.TopK {
 			cs = cs[:h.TopK]
 		}
 		// OTHER must always be available as an escape hatch.
 		if !containsLabel(cs, learn.Other) {
-			cs = append(cs, candidate{learn.Other, p[learn.Other]})
+			cs = append(cs, candidate{learn.Other, p.Score(learn.Other)})
 		}
 		// A feedback-forced label must be a candidate or the search
 		// would be infeasible by construction.
 		if l, ok := forced[tag]; ok && !containsLabel(cs, l) {
-			cs = append(cs, candidate{l, p[l]})
+			cs = append(cs, candidate{l, p.Score(l)})
 		}
 		out[i] = cs
 	}
 	return out
+}
+
+// byScoreDesc orders candidates by decreasing score. It decides with >
+// alone, so a NaN score compares equal to everything, as it does in
+// sort.SliceStable with the same less function.
+func byScoreDesc(a, b candidate) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case b.score > a.score:
+		return 1
+	}
+	return 0
 }
 
 func containsLabel(cs []candidate, label string) bool {

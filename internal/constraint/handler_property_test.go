@@ -23,12 +23,11 @@ func TestHandlerPropertyRandomInstances(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		preds := map[string]learn.Prediction{}
 		for _, tag := range src.Tags {
-			p := learn.Prediction{}
+			scores := map[string]float64{}
 			for _, l := range labels {
-				p[l] = rng.Float64()
+				scores[l] = rng.Float64()
 			}
-			p.Normalize()
-			preds[tag] = p
+			preds[tag] = predOf(scores).Normalize()
 		}
 		h := NewHandler(cons...)
 		h.TopK = 0 // all candidates: tiny instance
@@ -85,7 +84,7 @@ func TestHandlerNeverAssignsOutsideLabelSet(t *testing.T) {
 	src := testSource()
 	preds := map[string]learn.Prediction{}
 	for _, tag := range src.Tags {
-		preds[tag] = learn.Prediction{"A": 0.6, "B": 0.3, learn.Other: 0.1}
+		preds[tag] = predOf(map[string]float64{"A": 0.6, "B": 0.3, learn.Other: 0.1})
 	}
 	h := NewHandler()
 	res, err := h.Run(src, preds)

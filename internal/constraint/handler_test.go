@@ -2,19 +2,33 @@ package constraint
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/learn"
 )
 
-func preds(m map[string]learn.Prediction) map[string]learn.Prediction { return m }
+// predOf builds a prediction over the labels of scores, numbered in
+// sorted label order, holding the scores as given.
+func predOf(scores map[string]float64) learn.Prediction {
+	labels := make([]string, 0, len(scores))
+	for c := range scores {
+		labels = append(labels, c)
+	}
+	sort.Strings(labels)
+	p := learn.NewPrediction(learn.LabelsOf(labels))
+	for c, s := range scores {
+		p.Set(c, s)
+	}
+	return p
+}
 
 func TestGreedyRun(t *testing.T) {
 	src := testSource()
-	p := preds(map[string]learn.Prediction{
-		"beds":  {"BEDS": 0.9, "BATHS": 0.1},
-		"baths": {"BEDS": 0.3, "BATHS": 0.7},
-	})
+	p := map[string]learn.Prediction{
+		"beds":  predOf(map[string]float64{"BEDS": 0.9, "BATHS": 0.1}),
+		"baths": predOf(map[string]float64{"BEDS": 0.3, "BATHS": 0.7}),
+	}
 	m := GreedyRun(src, p)
 	if m["beds"] != "BEDS" || m["baths"] != "BATHS" {
 		t.Errorf("GreedyRun = %v", m)
@@ -35,13 +49,12 @@ func TestAStarFollowsScoresWithoutConstraints(t *testing.T) {
 	}
 	labels := []string{"HOUSE", "HOUSE-ID", "BEDS", "BATHS", "AGENT-INFO", "AGENT-NAME", "AGENT-PHONE", learn.Other}
 	for tag, label := range want {
-		pr := learn.Prediction{}
+		scores := map[string]float64{}
 		for _, l := range labels {
-			pr[l] = 0.01
+			scores[l] = 0.01
 		}
-		pr[label] = 1
-		pr.Normalize()
-		p[tag] = pr
+		scores[label] = 1
+		p[tag] = predOf(scores).Normalize()
 	}
 	h := NewHandler()
 	res, err := h.Run(src, p)
@@ -65,9 +78,9 @@ func TestConstraintFixesWrongPrediction(t *testing.T) {
 	src := testSource()
 	p := map[string]learn.Prediction{
 		// beds narrowly prefers HOUSE-ID; BEDS is the runner-up.
-		"beds": {"HOUSE-ID": 0.5, "BEDS": 0.4, learn.Other: 0.1},
+		"beds": predOf(map[string]float64{"HOUSE-ID": 0.5, "BEDS": 0.4, learn.Other: 0.1}),
 		// house-id narrowly prefers OTHER.
-		"house-id": {"HOUSE-ID": 0.45, learn.Other: 0.55, "BEDS": 0.0},
+		"house-id": predOf(map[string]float64{"HOUSE-ID": 0.45, learn.Other: 0.55, "BEDS": 0.0}),
 	}
 	h := NewHandler(Key("HOUSE-ID"))
 	res, err := h.Run(src, p)
@@ -86,8 +99,8 @@ func TestFrequencyForcesUniqueAssignment(t *testing.T) {
 	src := testSource()
 	// Both beds and baths prefer BEDS, but at most one may take it.
 	p := map[string]learn.Prediction{
-		"beds":  {"BEDS": 0.6, "BATHS": 0.39, learn.Other: 0.01},
-		"baths": {"BEDS": 0.55, "BATHS": 0.44, learn.Other: 0.01},
+		"beds":  predOf(map[string]float64{"BEDS": 0.6, "BATHS": 0.39, learn.Other: 0.01}),
+		"baths": predOf(map[string]float64{"BEDS": 0.55, "BATHS": 0.44, learn.Other: 0.01}),
 	}
 	h := NewHandler(AtMostOne("BEDS"))
 	res, err := h.Run(src, p)
@@ -112,7 +125,7 @@ func TestFrequencyForcesUniqueAssignment(t *testing.T) {
 func TestFeedbackConstraint(t *testing.T) {
 	src := testSource()
 	p := map[string]learn.Prediction{
-		"beds": {"BATHS": 0.9, "BEDS": 0.1},
+		"beds": predOf(map[string]float64{"BATHS": 0.9, "BEDS": 0.1}),
 	}
 	h := NewHandler(MustMatch("beds", "BEDS"))
 	res, err := h.Run(src, p)
@@ -135,9 +148,9 @@ func TestFeedbackConstraint(t *testing.T) {
 func TestSoftConstraintBreaksTies(t *testing.T) {
 	src := testSource()
 	p := map[string]learn.Prediction{
-		"name":  {"AGENT-NAME": 1.0},
-		"phone": {"AGENT-PHONE": 0.5, learn.Other: 0.5},
-		"baths": {"AGENT-PHONE": 0.5, learn.Other: 0.5},
+		"name":  predOf(map[string]float64{"AGENT-NAME": 1.0}),
+		"phone": predOf(map[string]float64{"AGENT-PHONE": 0.5, learn.Other: 0.5}),
+		"baths": predOf(map[string]float64{"AGENT-PHONE": 0.5, learn.Other: 0.5}),
 	}
 	// Proximity prefers phone (adjacent to name) over baths for
 	// AGENT-PHONE; frequency keeps it to one.
@@ -157,7 +170,7 @@ func TestSoftConstraintBreaksTies(t *testing.T) {
 func TestInfeasibleFallsBackToGreedy(t *testing.T) {
 	src := testSource()
 	p := map[string]learn.Prediction{
-		"beds": {"BEDS": 1.0},
+		"beds": predOf(map[string]float64{"BEDS": 1.0}),
 	}
 	// Contradictory feedback: no complete assignment satisfies both.
 	h := NewHandler(MustMatch("beds", "BEDS"), MustNotMatch("beds", "BEDS"))
@@ -213,9 +226,9 @@ func TestAStarOptimalMatchesExhaustive(t *testing.T) {
 	src.Tags = []string{"beds", "baths", "name"}
 	labels := []string{"BEDS", "BATHS", learn.Other}
 	p := map[string]learn.Prediction{
-		"beds":  {"BEDS": 0.5, "BATHS": 0.3, learn.Other: 0.2},
-		"baths": {"BEDS": 0.45, "BATHS": 0.35, learn.Other: 0.2},
-		"name":  {"BEDS": 0.1, "BATHS": 0.2, learn.Other: 0.7},
+		"beds":  predOf(map[string]float64{"BEDS": 0.5, "BATHS": 0.3, learn.Other: 0.2}),
+		"baths": predOf(map[string]float64{"BEDS": 0.45, "BATHS": 0.35, learn.Other: 0.2}),
+		"name":  predOf(map[string]float64{"BEDS": 0.1, "BATHS": 0.2, learn.Other: 0.7}),
 	}
 	cons := []Constraint{AtMostOne("BEDS"), AtMostOne("BATHS")}
 	h := NewHandler(cons...)

@@ -179,14 +179,13 @@ func TestRepairMatchesOracleRandom(t *testing.T) {
 		}
 		preds := make(map[string]learn.Prediction, len(src.Tags))
 		for _, tag := range src.Tags {
-			p := learn.Prediction{}
+			scores := map[string]float64{}
 			for _, l := range labels {
 				if rng.Intn(3) > 0 {
-					p[l] = rng.Float64()
+					scores[l] = rng.Float64()
 				}
 			}
-			p.Normalize()
-			preds[tag] = p
+			preds[tag] = constraint.PredOf(scores).Normalize()
 		}
 		h := constraint.NewHandler(cs...)
 		h.TopK = 1 + rng.Intn(len(labels))

@@ -16,8 +16,8 @@ func TestRepairFixesStealChain(t *testing.T) {
 	preds := map[string]learn.Prediction{
 		// "beds" narrowly prefers BATHS; "baths" strongly prefers BATHS
 		// too. The optimum under AtMostOne is beds=BEDS, baths=BATHS.
-		"beds":  {"BATHS": 0.5, "BEDS": 0.45, learn.Other: 0.05},
-		"baths": {"BATHS": 0.9, "BEDS": 0.05, learn.Other: 0.05},
+		"beds":  predOf(map[string]float64{"BATHS": 0.5, "BEDS": 0.45, learn.Other: 0.05}),
+		"baths": predOf(map[string]float64{"BATHS": 0.9, "BEDS": 0.05, learn.Other: 0.05}),
 	}
 	h := NewHandler(AtMostOne("BEDS"), AtMostOne("BATHS"))
 	// Start from the worst-case steal: beds took BATHS, baths pushed off
@@ -39,8 +39,8 @@ func TestRepairRespectsHardConstraints(t *testing.T) {
 	src := testSource()
 	src.Tags = []string{"beds", "baths"}
 	preds := map[string]learn.Prediction{
-		"beds":  {"BEDS": 0.9, learn.Other: 0.1},
-		"baths": {"BEDS": 0.8, "BATHS": 0.1, learn.Other: 0.1},
+		"beds":  predOf(map[string]float64{"BEDS": 0.9, learn.Other: 0.1}),
+		"baths": predOf(map[string]float64{"BEDS": 0.8, "BATHS": 0.1, learn.Other: 0.1}),
 	}
 	h := NewHandler(AtMostOne("BEDS"))
 	res, err := h.Run(src, preds)
@@ -64,7 +64,7 @@ func TestEpsilonZeroTreatedAsExact(t *testing.T) {
 	src := testSource()
 	src.Tags = []string{"beds"}
 	preds := map[string]learn.Prediction{
-		"beds": {"BEDS": 0.9, learn.Other: 0.1},
+		"beds": predOf(map[string]float64{"BEDS": 0.9, learn.Other: 0.1}),
 	}
 	h := &Handler{Alpha: 1, TopK: 4, MaxExpansions: 100}
 	res, err := h.Run(src, preds)
@@ -82,7 +82,7 @@ func TestWeightedAStarStillRespectsConstraints(t *testing.T) {
 	src := testSource()
 	preds := map[string]learn.Prediction{}
 	for _, tag := range src.Tags {
-		preds[tag] = learn.Prediction{"BEDS": 0.5, "BATHS": 0.3, learn.Other: 0.2}
+		preds[tag] = predOf(map[string]float64{"BEDS": 0.5, "BATHS": 0.3, learn.Other: 0.2})
 	}
 	h := NewHandler(AtMostOne("BEDS"), AtMostOne("BATHS"))
 	h.Epsilon = 10

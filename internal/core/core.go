@@ -145,7 +145,7 @@ func DefaultConfig() Config {
 type System struct {
 	cfg      Config
 	mediated *Mediated
-	labels   []string
+	labels   *learn.Labels
 	names    []string
 	learners []learn.Learner // trained, aligned with names
 	stacker  *meta.Stacker
@@ -174,7 +174,11 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	if len(cfg.BaseLearners) == 0 && !cfg.UseXMLLearner {
 		return nil, fmt.Errorf("core: no learners configured")
 	}
+	// The model's label table: every prediction of the trained system
+	// is a score vector over it. Learners are trained with the label
+	// list and intern it back to this table with learn.LabelsOf.
 	labels := med.Labels()
+	table := learn.LabelsOf(labels)
 	// Per-stage RNG seeds are derived, not shared: the interim and the
 	// final meta-learner each get an independent stream, and meta.Train
 	// derives one per learner from there, so every cross-validation
@@ -186,7 +190,7 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	// learners share the instance set; each extracts its own features.
 	examples := ExtractExamples(med, sources, cfg.MaxListings)
 
-	sys := &System{cfg: cfg, mediated: med, labels: labels, combined: new(memo.Table[learn.Prediction])}
+	sys := &System{cfg: cfg, mediated: med, labels: table, combined: new(memo.Table[learn.Prediction])}
 
 	// Step 4: train the base learners.
 	factories := make([]learn.Factory, 0, len(cfg.BaseLearners)+1)
@@ -203,7 +207,7 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 		trainLab := trainLabeler(sources)
 		var interim *ensembleLabeler
 		if len(cfg.BaseLearners) > 0 {
-			interimStack, err := meta.Train(labels, sys.names, factories, examples, cfg.Meta, interimSeed, cfg.Workers)
+			interimStack, err := meta.Train(table, sys.names, factories, examples, cfg.Meta, interimSeed, cfg.Workers)
 			if err != nil {
 				return nil, fmt.Errorf("core: interim meta-learner: %w", err)
 			}
@@ -246,7 +250,7 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	sys.learners = trained
 
 	// Step 5: train the meta-learner by stacking over all learners.
-	stacker, err := meta.Train(labels, sys.names, factories, examples, cfg.Meta, finalSeed, cfg.Workers)
+	stacker, err := meta.Train(table, sys.names, factories, examples, cfg.Meta, finalSeed, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: meta-learner: %w", err)
 	}
@@ -404,8 +408,9 @@ func ExtractExamples(med *Mediated, sources []*Source, maxListings int) []learn.
 	return out
 }
 
-// Labels returns the system's label set.
-func (s *System) Labels() []string { return s.labels }
+// Labels returns the system's label set in label-id order. The slice
+// is the label table's own and read-only.
+func (s *System) Labels() []string { return s.labels.Names() }
 
 // LearnerNames returns the trained learners' names.
 func (s *System) LearnerNames() []string { return append([]string(nil), s.names...) }
@@ -418,7 +423,8 @@ type MatchResult struct {
 	// Mapping is the 1-1 mapping the constraint handler (or greedy
 	// assignment) produced: source tag → label.
 	Mapping constraint.Assignment
-	// TagPredictions are the prediction-converter outputs per tag.
+	// TagPredictions are the prediction-converter outputs per tag, each
+	// over the system's label table.
 	TagPredictions map[string]learn.Prediction
 	// Handler is the A* result; nil when the handler is disabled.
 	Handler *constraint.Result

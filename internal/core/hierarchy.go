@@ -73,25 +73,28 @@ const AmbiguityRatio = 0.8
 // ancestor, it returns that ancestor and true: the partial mapping of
 // §7. Otherwise it returns "" and false.
 func (h *LabelHierarchy) Suggest(p learn.Prediction, ratio float64) (string, bool) {
-	if h == nil || len(p) < 2 {
+	if h == nil || p.Len() < 2 {
 		return "", false
 	}
-	first, second := "", ""
+	// The top two label ids, scanned in label order so ties go to the
+	// label that sorts first.
+	first, second := -1, -1
 	var s1, s2 float64
-	for _, c := range p.Labels() {
-		s := p[c]
+	scores := p.Scores()
+	for _, id := range p.Labels().Sorted() {
+		s := scores[id]
 		switch {
 		case s > s1:
 			second, s2 = first, s1
-			first, s1 = c, s
+			first, s1 = id, s
 		case s > s2:
-			second, s2 = c, s
+			second, s2 = id, s
 		}
 	}
 	if s1 <= 0 || s2 < ratio*s1 {
 		return "", false
 	}
-	anc := h.CommonAncestor(first, second)
+	anc := h.CommonAncestor(p.Labels().Name(first), p.Labels().Name(second))
 	if anc == "" {
 		return "", false
 	}

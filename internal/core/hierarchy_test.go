@@ -2,10 +2,26 @@ package core
 
 import (
 	"context"
+	"sort"
 	"testing"
 
 	"repro/internal/learn"
 )
+
+// predOf builds a prediction over the labels of scores, numbered in
+// sorted label order, holding the scores as given.
+func predOf(scores map[string]float64) learn.Prediction {
+	labels := make([]string, 0, len(scores))
+	for c := range scores {
+		labels = append(labels, c)
+	}
+	sort.Strings(labels)
+	p := learn.NewPrediction(learn.LabelsOf(labels))
+	for c, s := range scores {
+		p.Set(c, s)
+	}
+	return p
+}
 
 // creditHierarchy models the §7 example: CREDIT generalizes
 // COURSE-CREDIT and SECTION-CREDIT.
@@ -50,11 +66,11 @@ func TestCommonAncestor(t *testing.T) {
 // from section-credits, so LSD suggests the general CREDIT label.
 func TestSuggestAmbiguousCredit(t *testing.T) {
 	h := creditHierarchy()
-	p := learn.Prediction{
+	p := predOf(map[string]float64{
 		"COURSE-CREDIT":  0.42,
 		"SECTION-CREDIT": 0.40,
 		"ENROLLMENT":     0.18,
-	}
+	})
 	got, ok := h.Suggest(p, AmbiguityRatio)
 	if !ok || got != "CREDIT" {
 		t.Errorf("Suggest = %q, %v; want CREDIT, true", got, ok)
@@ -63,11 +79,11 @@ func TestSuggestAmbiguousCredit(t *testing.T) {
 
 func TestSuggestUnambiguous(t *testing.T) {
 	h := creditHierarchy()
-	p := learn.Prediction{
+	p := predOf(map[string]float64{
 		"COURSE-CREDIT":  0.8,
 		"SECTION-CREDIT": 0.1,
 		"ENROLLMENT":     0.1,
-	}
+	})
 	if got, ok := h.Suggest(p, AmbiguityRatio); ok {
 		t.Errorf("confident prediction suggested %q", got)
 	}
@@ -75,10 +91,10 @@ func TestSuggestUnambiguous(t *testing.T) {
 
 func TestSuggestNoCommonAncestor(t *testing.T) {
 	h := creditHierarchy()
-	p := learn.Prediction{
+	p := predOf(map[string]float64{
 		"COURSE-CREDIT": 0.5,
 		"ENROLLMENT":    0.45,
-	}
+	})
 	if got, ok := h.Suggest(p, AmbiguityRatio); ok {
 		t.Errorf("unrelated labels suggested %q", got)
 	}
@@ -86,11 +102,11 @@ func TestSuggestNoCommonAncestor(t *testing.T) {
 
 func TestSuggestNilAndSmall(t *testing.T) {
 	var h *LabelHierarchy
-	if _, ok := h.Suggest(learn.Prediction{"A": 1, "B": 1}, 0.8); ok {
+	if _, ok := h.Suggest(predOf(map[string]float64{"A": 1, "B": 1}), 0.8); ok {
 		t.Error("nil hierarchy suggested")
 	}
 	h = creditHierarchy()
-	if _, ok := h.Suggest(learn.Prediction{"A": 1}, 0.8); ok {
+	if _, ok := h.Suggest(predOf(map[string]float64{"A": 1}), 0.8); ok {
 		t.Error("single-label prediction suggested")
 	}
 }

@@ -39,7 +39,9 @@ type SystemState struct {
 	Synonyms        map[string][]string
 	HierarchyParent map[string]string
 
-	Labels   []string
+	// Labels is the model's label table; artifacts carry its label list
+	// and decoding rebuilds it with learn.LabelsOf.
+	Labels   *learn.Labels
 	Names    []string
 	Learners []learn.Learner
 	Stacker  *meta.Stacker
@@ -57,7 +59,7 @@ func (s *System) State() *SystemState {
 		Config:          s.cfg,
 		MediatedDTD:     s.mediated.Schema.String(),
 		Synonyms:        s.mediated.Synonyms,
-		Labels:          append([]string(nil), s.labels...),
+		Labels:          s.labels,
 		Names:           append([]string(nil), s.names...),
 		Learners:        append([]learn.Learner(nil), s.learners...),
 		Stacker:         s.stacker,
@@ -125,7 +127,7 @@ func FromState(st *SystemState, workers int) (*System, error) {
 	sys := &System{
 		cfg:      cfg,
 		mediated: med,
-		labels:   append([]string(nil), st.Labels...),
+		labels:   st.Labels,
 		names:    append([]string(nil), st.Names...),
 		learners: append([]learn.Learner(nil), st.Learners...),
 		stacker:  st.Stacker,

@@ -9,9 +9,7 @@ package learn
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/parallel"
@@ -86,111 +84,12 @@ type Example struct {
 	Group    string
 }
 
-// Prediction is a confidence-score distribution over labels:
-// s(c|x, L) for each label c, with scores summing to 1 after
-// Normalize (§2.2).
-type Prediction map[string]float64
-
-// Normalize scales the prediction so non-negative scores sum to 1.
-// Negative scores are clamped to 0 first. If every score is zero the
-// prediction becomes uniform over its labels.
-//
-// The scores are summed in sorted-value order, not map order: float
-// addition is not associative, so a map-order sum would differ between
-// otherwise identical runs in the last bits, and the pipeline promises
-// bit-identical output for a fixed seed.
-func (p Prediction) Normalize() Prediction {
-	// Label sets are small; a stack buffer keeps the per-call sort
-	// allocation-free on every predict path.
-	var buf [24]float64
-	vals := buf[:0]
-	if len(p) > len(buf) {
-		vals = make([]float64, 0, len(p))
-	}
-	for c, s := range p {
-		if s < 0 {
-			p[c] = 0
-		} else {
-			vals = append(vals, s)
-		}
-	}
-	sort.Float64s(vals)
-	sum := 0.0
-	for _, s := range vals {
-		sum += s
-	}
-	if sum == 0 {
-		if len(p) == 0 {
-			return p
-		}
-		u := 1 / float64(len(p))
-		for c := range p {
-			p[c] = u
-		}
-		return p
-	}
-	for c := range p {
-		p[c] /= sum
-	}
-	return p
-}
-
-// Best returns the label with the highest score, breaking ties by
-// label order for determinism, and its score. The zero prediction
-// returns ("", 0).
-func (p Prediction) Best() (string, float64) {
-	best, bestScore := "", math.Inf(-1)
-	for _, c := range p.Labels() {
-		if s := p[c]; s > bestScore {
-			best, bestScore = c, s
-		}
-	}
-	if best == "" {
-		return "", 0
-	}
-	return best, bestScore
-}
-
-// Labels returns the labels of p in sorted order.
-func (p Prediction) Labels() []string {
-	out := make([]string, 0, len(p))
-	for c := range p {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Clone returns a copy of p.
-func (p Prediction) Clone() Prediction {
-	q := make(Prediction, len(p))
-	for c, s := range p {
-		q[c] = s
-	}
-	//lint:ignore normalizedpred a clone is exactly as normalized as its input; renormalizing would perturb stored cache entries bit-for-bit
-	return q
-}
-
-// Uniform returns the uniform prediction over labels.
-func Uniform(labels []string) Prediction {
-	//lint:ignore hotalloc Prediction is a map by API contract and the result escapes to the caller; Uniform only runs on the untrained fallback path
-	p := make(Prediction, len(labels))
-	if len(labels) == 0 {
-		return p.Normalize() // no-op on the empty prediction
-	}
-	u := 1 / float64(len(labels))
-	for _, c := range labels {
-		p[c] = u
-	}
-	// Uniform scores sum to 1 by construction; renormalizing would
-	// divide by a float sum of 1/n terms and perturb the last bits.
-	return p
-}
-
 // Learner is a base learner (§3.3): it is trained once on labelled
 // examples and then predicts a confidence-score distribution for new
 // instances. Implementations must return normalized predictions over
-// the label set given at training time.
+// the label set given at training time: built with
+// NewPrediction(LabelsOf(labels)), so they share the model's label
+// table. An untrained learner may return the empty Prediction{}.
 type Learner interface {
 	// Name identifies the learner in reports and lesion studies.
 	Name() string

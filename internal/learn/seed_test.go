@@ -77,9 +77,9 @@ func TestCrossValidateWorkersDeterministic(t *testing.T) {
 		got := run(workers)
 		for i := range base {
 			for _, c := range labels {
-				if got[i][c] != base[i][c] {
+				if got[i].Score(c) != base[i].Score(c) {
 					t.Fatalf("workers=%d pred[%d][%s] = %v, serial = %v",
-						workers, i, c, got[i][c], base[i][c])
+						workers, i, c, got[i].Score(c), base[i].Score(c))
 				}
 			}
 		}

@@ -37,7 +37,7 @@ func TestContentMatcherEndToEnd(t *testing.T) {
 	// Below the similarity floor it abstains rather than guessing: a
 	// value sharing nothing scores uniformly.
 	p := l.Predict(learn.Instance{Content: "zzz qqq"})
-	if p["DESCRIPTION"] != p["HOUSE-STYLE"] {
+	if p.Score("DESCRIPTION") != p.Score("HOUSE-STYLE") {
 		t.Errorf("no-overlap prediction not uniform: %v", p)
 	}
 }

@@ -79,7 +79,7 @@ func Signature(s string) string {
 // Learner classifies instances by the format signatures of their
 // values using per-label signature frequencies with Laplace smoothing.
 type Learner struct {
-	labels   []string
+	labels   *learn.Labels
 	sigCount map[string]map[string]float64 // label -> signature -> count
 	total    map[string]float64            // label -> #values
 	numSigs  map[string]bool
@@ -99,7 +99,7 @@ func (l *Learner) Train(labels []string, examples []learn.Example) error {
 	if len(labels) == 0 {
 		return fmt.Errorf("format: no labels")
 	}
-	l.labels = append([]string(nil), labels...)
+	l.labels = learn.LabelsOf(labels)
 	l.sigCount = make(map[string]map[string]float64, len(labels))
 	l.total = make(map[string]float64, len(labels))
 	l.numSigs = make(map[string]bool)
@@ -122,28 +122,28 @@ func (l *Learner) Train(labels []string, examples []learn.Example) error {
 // Predict scores each label by the smoothed likelihood of the
 // instance's signature under that label.
 func (l *Learner) Predict(in learn.Instance) learn.Prediction {
-	if len(l.labels) == 0 {
-		// Normalize is a no-op on the empty prediction; calling it keeps
-		// the every-return-is-normalized invariant machine-checkable.
-		return learn.Prediction{}.Normalize()
+	if l.labels.Len() == 0 {
+		return learn.Prediction{}
 	}
 	sig := Signature(in.Content)
 	v := float64(len(l.numSigs))
 	if v == 0 {
 		return learn.Uniform(l.labels)
 	}
-	p := make(learn.Prediction, len(l.labels))
+	// Each score slot holds its label's log likelihood until the
+	// soft-max below.
+	p := learn.NewPrediction(l.labels)
+	scores := p.Scores()
 	maxLog := math.Inf(-1)
-	logs := make(map[string]float64, len(l.labels))
-	for _, c := range l.labels {
+	for id, c := range l.labels.Names() {
 		lp := math.Log((l.sigCount[c][sig] + 1) / (l.total[c] + v))
-		logs[c] = lp
+		scores[id] = lp
 		if lp > maxLog {
 			maxLog = lp
 		}
 	}
-	for c, lp := range logs {
-		p[c] = math.Exp(lp - maxLog)
+	for id, lp := range scores {
+		scores[id] = math.Exp(lp - maxLog)
 	}
 	return p.Normalize()
 }

@@ -86,7 +86,7 @@ func TestPredictUnseenSignatureSoft(t *testing.T) {
 	p := l.Predict(learn.Instance{Content: "totally different kind of value with words"})
 	sum := 0.0
 	for _, c := range labels {
-		sum += p[c]
+		sum += p.Score(c)
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("prediction not normalized: %v", p)
@@ -95,15 +95,15 @@ func TestPredictUnseenSignatureSoft(t *testing.T) {
 
 func TestPredictUntrained(t *testing.T) {
 	l := New()
-	if p := l.Predict(learn.Instance{Content: "x"}); len(p) != 0 {
-		t.Errorf("untrained Predict = %v, want empty", p)
+	if p := l.Predict(learn.Instance{Content: "x"}); p.Len() != 0 {
+		t.Errorf("untrained Predict = %v, want empty", p.Map())
 	}
 	if err := l.Train(labels, nil); err != nil {
 		t.Fatal(err)
 	}
 	p := l.Predict(learn.Instance{Content: "x"})
-	if len(p) != len(labels) {
-		t.Errorf("no-example Predict over %d labels", len(p))
+	if p.Len() != len(labels) {
+		t.Errorf("no-example Predict over %d labels", p.Len())
 	}
 }
 

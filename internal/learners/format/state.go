@@ -7,6 +7,8 @@ package format
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/learn"
 )
 
 // LabelState is the serialized signature table of one label. Sigs and
@@ -31,15 +33,15 @@ func (l *Learner) State() *State {
 		return nil
 	}
 	st := &State{
-		Labels:   append([]string(nil), l.labels...),
-		PerLabel: make([]LabelState, len(l.labels)),
+		Labels:   append([]string(nil), l.labels.Names()...),
+		PerLabel: make([]LabelState, l.labels.Len()),
 		Sigs:     make([]string, 0, len(l.numSigs)),
 	}
 	for sig := range l.numSigs {
 		st.Sigs = append(st.Sigs, sig)
 	}
 	sort.Strings(st.Sigs)
-	for i, c := range l.labels {
+	for i, c := range l.labels.Names() {
 		counts := l.sigCount[c]
 		ls := LabelState{Total: l.total[c], Sigs: make([]string, 0, len(counts))}
 		for sig := range counts {
@@ -67,14 +69,14 @@ func Restore(st *State) (*Learner, error) {
 		return nil, fmt.Errorf("format: %d label tables for %d labels", len(st.PerLabel), len(st.Labels))
 	}
 	l := New()
-	l.labels = append([]string(nil), st.Labels...)
+	l.labels = learn.LabelsOf(st.Labels)
 	l.sigCount = make(map[string]map[string]float64, len(st.Labels))
 	l.total = make(map[string]float64, len(st.Labels))
 	l.numSigs = make(map[string]bool, len(st.Sigs))
 	for _, sig := range st.Sigs {
 		l.numSigs[sig] = true
 	}
-	for i, c := range l.labels {
+	for i, c := range st.Labels {
 		if _, dup := l.sigCount[c]; dup {
 			return nil, fmt.Errorf("format: duplicate label %q", c)
 		}

@@ -44,11 +44,11 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 	for i, in := range ins {
 		want := l.Predict(in)
-		if len(batch[i]) != len(want) {
-			t.Fatalf("instance %d: %d labels, want %d", i, len(batch[i]), len(want))
+		if batch[i].Len() != want.Len() {
+			t.Fatalf("instance %d: %d labels, want %d", i, batch[i].Len(), want.Len())
 		}
-		for c, s := range want {
-			if g, ok := batch[i][c]; !ok || g != s {
+		for c, s := range want.Map() {
+			if g, ok := batch[i].Map()[c]; !ok || g != s {
 				t.Fatalf("instance %d (%q) label %s = %v, want %v (bit-identical)", i, contents[i], c, g, s)
 			}
 		}
@@ -67,11 +67,11 @@ func TestPredictBatchUntrained(t *testing.T) {
 	batch := l.PredictBatch(ins)
 	for i, in := range ins {
 		want := l.Predict(in)
-		if len(batch[i]) != len(want) {
-			t.Fatalf("instance %d: %d labels, want %d", i, len(batch[i]), len(want))
+		if batch[i].Len() != want.Len() {
+			t.Fatalf("instance %d: %d labels, want %d", i, batch[i].Len(), want.Len())
 		}
-		for c, s := range want {
-			if batch[i][c] != s {
+		for c, s := range want.Map() {
+			if batch[i].Score(c) != s {
 				t.Fatalf("instance %d label %s differs", i, c)
 			}
 		}

@@ -28,9 +28,8 @@ import (
 
 // Learner is a multinomial Naive Bayes classifier over stemmed tokens.
 type Learner struct {
-	labels   []string
-	labelIdx map[string]int
-	vocab    *text.Vocab
+	labels *learn.Labels
+	vocab  *text.Vocab
 	// logProb[li][id] = log((n(w,c)+1)/(n(c)+|V|)): the Laplace-smoothed
 	// log-likelihood of token id under label li, precomputed at Train.
 	logProb [][]float64
@@ -43,7 +42,7 @@ type Learner struct {
 	numDocs float64
 	// scratch pools the dense per-batch log-score matrices PredictBatch
 	// sweeps into (unique instances × labels), so batched scoring
-	// allocates nothing beyond the result maps.
+	// allocates nothing beyond the result vectors.
 	scratch pool.Floats
 }
 
@@ -73,11 +72,7 @@ type counts struct {
 }
 
 func (l *Learner) reset(labels []string) *counts {
-	l.labels = append([]string(nil), labels...)
-	l.labelIdx = make(map[string]int, len(labels))
-	for i, c := range labels {
-		l.labelIdx[c] = i
-	}
+	l.labels = learn.LabelsOf(labels)
 	l.vocab = text.NewVocab()
 	return &counts{
 		tokenCount: make([][]float64, len(labels)),
@@ -104,7 +99,7 @@ func (l *Learner) finalize(cs *counts) {
 	if vocabSize == 0 {
 		vocabSize = 1
 	}
-	k := len(l.labels)
+	k := l.labels.Len()
 	l.logProb = make([][]float64, k)
 	l.unseenLog = make([]float64, k)
 	l.prior = make([]float64, k)
@@ -138,7 +133,7 @@ func (l *Learner) Train(labels []string, examples []learn.Example) error {
 	cs := l.reset(labels)
 	l.numDocs = float64(len(examples))
 	for _, ex := range examples {
-		li, ok := l.labelIdx[ex.Label]
+		li, ok := l.labels.ID(ex.Label)
 		if !ok {
 			return fmt.Errorf("naivebayes: example labelled %q outside label set", ex.Label)
 		}
@@ -162,7 +157,7 @@ func (l *Learner) TrainBags(labels []string, bags []text.Bag, bagLabels []string
 	cs := l.reset(labels)
 	l.numDocs = float64(len(bags))
 	for i, bag := range bags {
-		li, ok := l.labelIdx[bagLabels[i]]
+		li, ok := l.labels.ID(bagLabels[i])
 		if !ok {
 			return fmt.Errorf("naivebayes: bag labelled %q outside label set", bagLabels[i])
 		}
@@ -222,13 +217,13 @@ func (l *Learner) PredictBatch(ins []learn.Instance) []learn.Prediction {
 		}
 		pos[i] = u
 	}
-	k := len(l.labels)
+	k := l.labels.Len()
 	nu := len(bags)
 	// Row-major log-score matrix: lps[u*k+li] is instance u's log score
 	// under label li. The label-outer sweep touches each precomputed
 	// table once for the whole batch.
 	lps := l.scratch.Get(nu * k)
-	for li := range l.labels {
+	for li := 0; li < k; li++ {
 		prior := l.prior[li]
 		table := l.logProb[li]
 		unseen := l.unseenLog[li]
@@ -249,10 +244,10 @@ func (l *Learner) PredictBatch(ins []learn.Instance) []learn.Prediction {
 				maxLog = lps[off+li]
 			}
 		}
-		//lint:ignore hotalloc the result Prediction is a map by API contract and escapes to the caller; scoring itself runs in the pooled matrix
-		p := make(learn.Prediction, k)
-		for li, c := range l.labels {
-			p[c] = math.Exp(lps[off+li] - maxLog)
+		p := learn.NewPrediction(l.labels)
+		scores := p.Scores()
+		for li := range scores {
+			scores[li] = math.Exp(lps[off+li] - maxLog)
 		}
 		uniq[u] = p.Normalize()
 	}
@@ -271,30 +266,25 @@ func (l *Learner) PredictBag(bag text.Bag) learn.Prediction {
 		return learn.Uniform(l.labels)
 	}
 	sb := l.vocab.SparseBag(bag)
-	//lint:ignore hotalloc the result Prediction is a map by API contract and escapes to the caller; scoring itself runs on stack buffers below
-	p := make(learn.Prediction, len(l.labels))
+	// Each score slot holds its label's log score until the soft-max
+	// below turns it into a likelihood ratio.
+	p := learn.NewPrediction(l.labels)
+	scores := p.Scores()
 	maxLog := math.Inf(-1)
-	// Stack buffer for the per-label log scores; label sets are small.
-	var lpsBuf [24]float64
-	lps := lpsBuf[:0]
-	if len(l.labels) > len(lpsBuf) {
-		lps = make([]float64, 0, len(l.labels))
-	}
-	lps = lps[:len(l.labels)]
-	for li := range l.labels {
+	for li := range scores {
 		lp := l.prior[li]
 		table := l.logProb[li]
 		for _, tc := range sb.Terms {
 			lp += float64(tc.N) * table[tc.ID]
 		}
 		lp += float64(sb.OOV) * l.unseenLog[li]
-		lps[li] = lp
+		scores[li] = lp
 		if lp > maxLog {
 			maxLog = lp
 		}
 	}
-	for li, c := range l.labels {
-		p[c] = math.Exp(lps[li] - maxLog)
+	for li, lp := range scores {
+		scores[li] = math.Exp(lp - maxLog)
 	}
 	return p.Normalize()
 }
@@ -305,7 +295,7 @@ func (l *Learner) LogLikelihood(bag text.Bag, c string) float64 {
 	if l.numDocs == 0 {
 		return 0
 	}
-	li, ok := l.labelIdx[c]
+	li, ok := l.labels.ID(c)
 	if !ok {
 		return 0
 	}

@@ -63,9 +63,9 @@ func TestPredictSharedToken(t *testing.T) {
 		t.Errorf("Best = %q, want ADDRESS or DESCRIPTION", best)
 	}
 	p := l.Predict(learn.Instance{Content: "Miami"})
-	if p["ADDRESS"] <= p["AGENT-PHONE"] {
+	if p.Score("ADDRESS") <= p.Score("AGENT-PHONE") {
 		t.Errorf("ADDRESS %g should beat AGENT-PHONE %g on 'Miami'",
-			p["ADDRESS"], p["AGENT-PHONE"])
+			p.Score("ADDRESS"), p.Score("AGENT-PHONE"))
 	}
 }
 
@@ -74,10 +74,10 @@ func TestPredictIsDistribution(t *testing.T) {
 	p := l.Predict(learn.Instance{Content: "great fantastic 305"})
 	sum := 0.0
 	for _, c := range labels {
-		if p[c] < 0 {
+		if p.Score(c) < 0 {
 			t.Errorf("negative score: %v", p)
 		}
-		sum += p[c]
+		sum += p.Score(c)
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("sum = %g", sum)
@@ -91,7 +91,7 @@ func TestPredictUntrained(t *testing.T) {
 	}
 	p := l.Predict(learn.Instance{Content: "anything"})
 	for _, c := range labels {
-		if math.Abs(p[c]-1.0/3) > 1e-9 {
+		if math.Abs(p.Score(c)-1.0/3) > 1e-9 {
 			t.Errorf("untrained prediction not uniform: %v", p)
 		}
 	}
@@ -127,8 +127,8 @@ func TestTrainBagsMatchesTrain(t *testing.T) {
 	probe := learn.Instance{Content: "great location in Miami"}
 	p1, p2 := l1.Predict(probe), l2.Predict(probe)
 	for _, c := range labels {
-		if math.Abs(p1[c]-p2[c]) > 1e-12 {
-			t.Errorf("Train vs TrainBags differ on %s: %g vs %g", c, p1[c], p2[c])
+		if math.Abs(p1.Score(c)-p2.Score(c)) > 1e-12 {
+			t.Errorf("Train vs TrainBags differ on %s: %g vs %g", c, p1.Score(c), p2.Score(c))
 		}
 	}
 }
@@ -263,9 +263,9 @@ func TestPosteriorMatchesNaiveFormula(t *testing.T) {
 		got := l.PredictBag(bag)
 		want := refPosterior(bag)
 		for _, c := range labels {
-			if math.Abs(got[c]-want[c]) > 1e-12 {
+			if math.Abs(got.Score(c)-want[c]) > 1e-12 {
 				t.Fatalf("trial %d label %s: table path %.17g, naive formula %.17g",
-					trial, c, got[c], want[c])
+					trial, c, got.Score(c), want[c])
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/learn"
 	"repro/internal/text"
 )
 
@@ -34,7 +35,7 @@ func (l *Learner) State() *State {
 		return nil
 	}
 	st := &State{
-		Labels:    append([]string(nil), l.labels...),
+		Labels:    append([]string(nil), l.labels.Names()...),
 		Tokens:    l.vocab.Tokens(),
 		LogProb:   make([][]float64, len(l.logProb)),
 		UnseenLog: append([]float64(nil), l.unseenLog...),
@@ -71,13 +72,11 @@ func Restore(st *State) (*Learner, error) {
 		return nil, fmt.Errorf("naivebayes: %w", err)
 	}
 	l := New()
-	l.labels = append([]string(nil), st.Labels...)
-	l.labelIdx = make(map[string]int, k)
-	for i, c := range l.labels {
-		if _, dup := l.labelIdx[c]; dup {
+	l.labels = learn.LabelsOf(st.Labels)
+	for id, c := range st.Labels {
+		if first, _ := l.labels.ID(c); first != id {
 			return nil, fmt.Errorf("naivebayes: duplicate label %q", c)
 		}
-		l.labelIdx[c] = i
 	}
 	l.vocab = vocab
 	l.logProb = make([][]float64, k)

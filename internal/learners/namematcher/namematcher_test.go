@@ -36,9 +36,9 @@ func TestNameMatcherEndToEnd(t *testing.T) {
 	// a telling path still leans the right way.
 	withPath := l.Predict(learn.Instance{TagName: "val", Path: []string{"listing", "contact", "phone", "val"}})
 	bare := l.Predict(learn.Instance{TagName: "val"})
-	if withPath["AGENT-PHONE"] <= bare["AGENT-PHONE"] {
+	if withPath.Score("AGENT-PHONE") <= bare.Score("AGENT-PHONE") {
 		t.Errorf("path expansion did not help: %g vs %g",
-			withPath["AGENT-PHONE"], bare["AGENT-PHONE"])
+			withPath.Score("AGENT-PHONE"), bare.Score("AGENT-PHONE"))
 	}
 }
 

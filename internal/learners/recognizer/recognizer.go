@@ -22,7 +22,7 @@ type Dictionary struct {
 	name    string
 	target  string
 	entries map[string]bool
-	labels  []string
+	labels  *learn.Labels
 	// hitRate is estimated during training: the fraction of true target
 	// instances the dictionary recognizes, used to scale confidence.
 	hitRate float64
@@ -63,12 +63,15 @@ func (d *Dictionary) Contains(value string) bool {
 }
 
 // Train records the label set and calibrates the recognizer's hit rate
-// on the true target instances.
+// on the true target instances. The target must be one of the labels.
 func (d *Dictionary) Train(labels []string, examples []learn.Example) error {
 	if len(labels) == 0 {
 		return fmt.Errorf("recognizer: no labels")
 	}
-	d.labels = append([]string(nil), labels...)
+	d.labels = learn.LabelsOf(labels)
+	if _, ok := d.labels.ID(d.target); !ok {
+		return fmt.Errorf("recognizer: target %q outside label set", d.target)
+	}
 	hits, total := 0, 0
 	for _, ex := range examples {
 		if ex.Label != d.target {
@@ -90,19 +93,18 @@ func (d *Dictionary) Train(labels []string, examples []learn.Example) error {
 // calibrated hit rate so a dictionary that rarely fires on true
 // instances is not over-trusted.
 func (d *Dictionary) Predict(in learn.Instance) learn.Prediction {
-	if len(d.labels) == 0 {
-		// Normalize is a no-op on the empty prediction; calling it keeps
-		// the every-return-is-normalized invariant machine-checkable.
-		return learn.Prediction{}.Normalize()
+	if d.labels.Len() == 0 {
+		return learn.Prediction{}
 	}
 	if !d.Contains(in.Content) {
 		return learn.Uniform(d.labels)
 	}
-	p := make(learn.Prediction, len(d.labels))
-	base := (1 - d.hitRate) / float64(len(d.labels))
-	for _, c := range d.labels {
-		p[c] = base
+	p := learn.NewPrediction(d.labels)
+	scores := p.Scores()
+	base := (1 - d.hitRate) / float64(len(scores))
+	for id := range scores {
+		scores[id] = base
 	}
-	p[d.target] += d.hitRate
+	p.Set(d.target, p.Score(d.target)+d.hitRate)
 	return p.Normalize()
 }

@@ -26,8 +26,8 @@ func TestCountyRecognizerHit(t *testing.T) {
 	if best, _ := p.Best(); best != "COUNTY" {
 		t.Errorf("Best = %q, want COUNTY", best)
 	}
-	if p["COUNTY"] <= p["ADDRESS"] {
-		t.Errorf("COUNTY score %g should exceed ADDRESS %g", p["COUNTY"], p["ADDRESS"])
+	if p.Score("COUNTY") <= p.Score("ADDRESS") {
+		t.Errorf("COUNTY score %g should exceed ADDRESS %g", p.Score("COUNTY"), p.Score("ADDRESS"))
 	}
 }
 
@@ -38,7 +38,7 @@ func TestCountyRecognizerAbstains(t *testing.T) {
 	}
 	p := r.Predict(learn.Instance{Content: "not a county at all"})
 	for _, c := range labels {
-		if math.Abs(p[c]-1.0/3) > 1e-9 {
+		if math.Abs(p.Score(c)-1.0/3) > 1e-9 {
 			t.Errorf("non-county prediction not uniform: %v", p)
 		}
 	}
@@ -74,8 +74,8 @@ func TestHitRateCalibration(t *testing.T) {
 	if best, _ := p.Best(); best != "COUNTY" {
 		t.Errorf("Best = %q, want COUNTY", best)
 	}
-	if p["COUNTY"] > 0.9 {
-		t.Errorf("hit rate 0.5 should temper confidence, got %g", p["COUNTY"])
+	if p.Score("COUNTY") > 0.9 {
+		t.Errorf("hit rate 0.5 should temper confidence, got %g", p.Score("COUNTY"))
 	}
 }
 
@@ -99,5 +99,12 @@ func TestUSCountiesNonTrivial(t *testing.T) {
 	}
 	if !seenKing {
 		t.Error("county database missing King county")
+	}
+}
+
+func TestTrainRejectsTargetOutsideLabels(t *testing.T) {
+	r := NewDictionary("d", "PRICE", []string{"King"})
+	if err := r.Train(labels, nil); err == nil {
+		t.Error("Train accepted a target outside the label set")
 	}
 }

@@ -9,6 +9,8 @@ package recognizer
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/learn"
 )
 
 // State is the serializable view of a trained Dictionary.
@@ -27,7 +29,7 @@ func (d *Dictionary) State() *State {
 		Name:    d.name,
 		Target:  d.target,
 		Entries: make([]string, 0, len(d.entries)),
-		Labels:  append([]string(nil), d.labels...),
+		Labels:  append([]string(nil), d.labels.Names()...),
 		HitRate: d.hitRate,
 	}
 	for e := range d.entries {
@@ -52,8 +54,11 @@ func Restore(st *State) (*Dictionary, error) {
 		name:    st.Name,
 		target:  st.Target,
 		entries: make(map[string]bool, len(st.Entries)),
-		labels:  append([]string(nil), st.Labels...),
+		labels:  learn.LabelsOf(st.Labels),
 		hitRate: st.HitRate,
+	}
+	if _, ok := d.labels.ID(st.Target); !ok && d.labels.Len() > 0 {
+		return nil, fmt.Errorf("recognizer: target %q outside label set", st.Target)
 	}
 	for _, e := range st.Entries {
 		d.entries[e] = true

@@ -7,6 +7,8 @@ package stats
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/learn"
 )
 
 // NumFeatures is the dimensionality of the feature vector, exported so
@@ -33,11 +35,11 @@ func (l *Learner) State() *State {
 		return nil
 	}
 	st := &State{
-		Labels:  append([]string(nil), l.labels...),
-		Classes: make([]ClassState, len(l.labels)),
+		Labels:  append([]string(nil), l.labels.Names()...),
+		Classes: make([]ClassState, l.labels.Len()),
 		NumDocs: l.numDocs,
 	}
-	for i, c := range l.labels {
+	for i, c := range l.labels.Names() {
 		cs := l.classes[c]
 		st.Classes[i] = ClassState{
 			N:     cs.n,
@@ -63,10 +65,10 @@ func Restore(st *State) (*Learner, error) {
 		return nil, fmt.Errorf("stats: invalid document count %v", st.NumDocs)
 	}
 	l := New()
-	l.labels = append([]string(nil), st.Labels...)
+	l.labels = learn.LabelsOf(st.Labels)
 	l.classes = make(map[string]*classStats, len(st.Labels))
 	l.numDocs = st.NumDocs
-	for i, c := range l.labels {
+	for i, c := range st.Labels {
 		if _, dup := l.classes[c]; dup {
 			return nil, fmt.Errorf("stats: duplicate label %q", c)
 		}

@@ -119,7 +119,7 @@ func (cs *classStats) meanVar(i int) (mean, variance float64) {
 
 // Learner is the statistics base learner.
 type Learner struct {
-	labels  []string
+	labels  *learn.Labels
 	classes map[string]*classStats
 	numDocs float64
 }
@@ -138,7 +138,7 @@ func (l *Learner) Train(labels []string, examples []learn.Example) error {
 	if len(labels) == 0 {
 		return fmt.Errorf("stats: no labels")
 	}
-	l.labels = append([]string(nil), labels...)
+	l.labels = learn.LabelsOf(labels)
 	l.classes = make(map[string]*classStats, len(labels))
 	for _, c := range labels {
 		l.classes[c] = &classStats{}
@@ -157,34 +157,34 @@ func (l *Learner) Train(labels []string, examples []learn.Example) error {
 // Predict scores labels by Gaussian naive-Bayes likelihood of the
 // instance's feature vector.
 func (l *Learner) Predict(in learn.Instance) learn.Prediction {
-	if len(l.labels) == 0 {
-		// Normalize is a no-op on the empty prediction; calling it keeps
-		// the every-return-is-normalized invariant machine-checkable.
-		return learn.Prediction{}.Normalize()
+	if l.labels.Len() == 0 {
+		return learn.Prediction{}
 	}
 	if l.numDocs == 0 {
 		return learn.Uniform(l.labels)
 	}
 	f := features(in.Content)
-	logs := make(map[string]float64, len(l.labels))
+	// Each score slot holds its label's log likelihood until the
+	// soft-max below.
+	p := learn.NewPrediction(l.labels)
+	scores := p.Scores()
 	maxLog := math.Inf(-1)
-	for _, c := range l.labels {
+	for id, c := range l.labels.Names() {
 		cs := l.classes[c]
 		// Laplace-smoothed class prior.
-		lp := math.Log((cs.n + 1) / (l.numDocs + float64(len(l.labels))))
+		lp := math.Log((cs.n + 1) / (l.numDocs + float64(len(scores))))
 		for i := 0; i < numFeatures; i++ {
 			mean, variance := cs.meanVar(i)
 			d := f[i] - mean
 			lp += -0.5*math.Log(2*math.Pi*variance) - d*d/(2*variance)
 		}
-		logs[c] = lp
+		scores[id] = lp
 		if lp > maxLog {
 			maxLog = lp
 		}
 	}
-	p := make(learn.Prediction, len(l.labels))
-	for c, lp := range logs {
-		p[c] = math.Exp(lp - maxLog)
+	for id, lp := range scores {
+		scores[id] = math.Exp(lp - maxLog)
 	}
 	return p.Normalize()
 }

@@ -69,10 +69,10 @@ func TestPredictionNormalized(t *testing.T) {
 	p := l.Predict(learn.Instance{Content: "42"})
 	sum := 0.0
 	for _, c := range labels {
-		if p[c] < 0 {
+		if p.Score(c) < 0 {
 			t.Errorf("negative score: %v", p)
 		}
-		sum += p[c]
+		sum += p.Score(c)
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("sum = %g", sum)
@@ -81,15 +81,15 @@ func TestPredictionNormalized(t *testing.T) {
 
 func TestUntrained(t *testing.T) {
 	l := New()
-	if p := l.Predict(learn.Instance{Content: "x"}); len(p) != 0 {
-		t.Errorf("untrained Predict = %v", p)
+	if p := l.Predict(learn.Instance{Content: "x"}); p.Len() != 0 {
+		t.Errorf("untrained Predict = %v", p.Map())
 	}
 	if err := l.Train(labels, nil); err != nil {
 		t.Fatal(err)
 	}
 	p := l.Predict(learn.Instance{Content: "x"})
 	for _, c := range labels {
-		if math.Abs(p[c]-0.25) > 1e-9 {
+		if math.Abs(p.Score(c)-0.25) > 1e-9 {
 			t.Errorf("no-example prediction not uniform: %v", p)
 		}
 	}

@@ -89,11 +89,11 @@ func TestPredictBatchUntrained(t *testing.T) {
 
 func assertSamePrediction(t *testing.T, ctx string, got, want learn.Prediction) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d labels, want %d", ctx, len(got), len(want))
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d labels, want %d", ctx, got.Len(), want.Len())
 	}
-	for l, s := range want {
-		if g, ok := got[l]; !ok || g != s {
+	for l, s := range want.Map() {
+		if g, ok := got.Map()[l]; !ok || g != s {
 			t.Fatalf("%s: label %s = %v, want %v (bit-identical)", ctx, l, g, s)
 		}
 	}

@@ -10,6 +10,7 @@ package whirl
 import (
 	"fmt"
 
+	"repro/internal/learn"
 	"repro/internal/text"
 )
 
@@ -41,7 +42,7 @@ func (c *Classifier) State() *State {
 	st := &State{
 		Name:      c.name,
 		Config:    c.cfg,
-		Labels:    append([]string(nil), c.labels...),
+		Labels:    append([]string(nil), c.labels.Names()...),
 		Corpus:    c.corpus.State(),
 		DocLabels: append([]int32(nil), c.docLabels...),
 		Postings:  make([][]Posting, len(c.postings)),
@@ -85,7 +86,7 @@ func Restore(st *State, extract Extractor) (*Classifier, error) {
 		}
 	}
 	c := New(st.Name, extract, st.Config)
-	c.labels = append([]string(nil), st.Labels...)
+	c.labels = learn.LabelsOf(st.Labels)
 	c.corpus = corpus
 	c.docLabels = append([]int32(nil), st.DocLabels...)
 	c.postings = make([][]posting, len(st.Postings))

@@ -66,12 +66,12 @@ type Classifier struct {
 	name    string
 	extract Extractor
 	cfg     Config
-	labels  []string
+	labels  *learn.Labels
 	corpus  *text.Corpus
 	// postings is the inverted index, indexed by token id; each posting
 	// list is ordered by ascending doc id (training order).
 	postings [][]posting
-	// docLabels maps each stored document to its label's index in
+	// docLabels maps each stored document to its label's id in
 	// labels.
 	docLabels []int32
 	// scratch pools the dense similarity buffers predicts accumulate
@@ -106,11 +106,7 @@ func (c *Classifier) Train(labels []string, examples []learn.Example) error {
 	if len(labels) == 0 {
 		return fmt.Errorf("whirl: no labels")
 	}
-	c.labels = append([]string(nil), labels...)
-	labelIdx := make(map[string]int, len(labels))
-	for i, l := range labels {
-		labelIdx[l] = i
-	}
+	c.labels = learn.LabelsOf(labels)
 	// Deduplicate by (extracted text, label): a source contributes one
 	// identical example per listing, and the noisy-or combination must
 	// count distinct pieces of evidence, not copies — otherwise forty
@@ -126,7 +122,7 @@ func (c *Classifier) Train(labels []string, examples []learn.Example) error {
 		}
 		seen[k] = true
 		texts = append(texts, k.text)
-		li, ok := labelIdx[k.label]
+		li, ok := c.labels.ID(k.label)
 		if !ok {
 			return fmt.Errorf("whirl: example labelled %q outside label set", k.label)
 		}
@@ -219,7 +215,7 @@ func (c *Classifier) PredictBatch(ins []learn.Instance) []learn.Prediction {
 			u = len(uniqPreds)
 			idx[extracted] = u
 			p, hit := c.cache.Get(extracted)
-			uniqPreds = append(uniqPreds, p) // nil placeholder on miss
+			uniqPreds = append(uniqPreds, p) // empty placeholder on miss
 			if !hit {
 				missTexts = append(missTexts, extracted)
 				missSlots = append(missSlots, u)
@@ -331,10 +327,10 @@ func (c *Classifier) predict(extracted string) learn.Prediction {
 // predictUntrained is the fallback for a classifier with no stored
 // examples: smoothing only, normalized to uniform.
 func (c *Classifier) predictUntrained() learn.Prediction {
-	//lint:ignore hotalloc the result Prediction is a map by API contract and escapes to the caller; this only runs on the untrained fallback path
-	p := make(learn.Prediction, len(c.labels))
-	for _, l := range c.labels {
-		p[l] = c.cfg.Smoothing
+	p := learn.NewPrediction(c.labels)
+	scores := p.Scores()
+	for li := range scores {
+		scores[li] = c.cfg.Smoothing
 	}
 	return p.Normalize()
 }
@@ -345,8 +341,6 @@ func (c *Classifier) predictUntrained() learn.Prediction {
 // per-instance and the batched path end here, which is what makes
 // their results structurally bit-identical.
 func (c *Classifier) scoreSims(sims []float64) learn.Prediction {
-	//lint:ignore hotalloc the result Prediction is a map by API contract and is retained by the cache, so it must be freshly allocated per distinct input
-	p := make(learn.Prediction, len(c.labels))
 	type neighbor struct {
 		sim float64
 		li  int32
@@ -382,22 +376,19 @@ func (c *Classifier) scoreSims(sims []float64) learn.Prediction {
 		// Only the k nearest neighbours contribute.
 		neighbors = neighbors[:k]
 	}
-	// Noisy-or per label, accumulated densely by label index in a stack
-	// buffer (label sets are small).
-	var omBuf [24]float64
-	oneMinus := omBuf[:0]
-	if len(c.labels) > len(omBuf) {
-		oneMinus = make([]float64, 0, len(c.labels))
-	}
-	oneMinus = oneMinus[:len(c.labels)]
-	for li := range oneMinus {
-		oneMinus[li] = 1
+	// Noisy-or per label: each score slot first accumulates the product
+	// Π(1 − simᵢ) of its label's neighbours, then becomes the smoothed
+	// 1 − product.
+	p := learn.NewPrediction(c.labels)
+	scores := p.Scores()
+	for li := range scores {
+		scores[li] = 1
 	}
 	for _, n := range neighbors {
-		oneMinus[n.li] *= 1 - n.sim
+		scores[n.li] *= 1 - n.sim
 	}
-	for li, l := range c.labels {
-		p[l] = c.cfg.Smoothing + (1 - oneMinus[li])
+	for li, oneMinus := range scores {
+		scores[li] = c.cfg.Smoothing + (1 - oneMinus)
 	}
 	return p.Normalize()
 }

@@ -2,7 +2,6 @@ package whirl
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/learn"
@@ -60,8 +59,8 @@ func TestPredictUnknownNameIsSpread(t *testing.T) {
 	p := c.Predict(learn.Instance{TagName: "zzzz"})
 	// No shared tokens: smoothing only, so the prediction is uniform.
 	for _, l := range labels {
-		if math.Abs(p[l]-1.0/3) > 1e-9 {
-			t.Errorf("unknown name score[%s] = %g, want 1/3", l, p[l])
+		if math.Abs(p.Score(l)-1.0/3) > 1e-9 {
+			t.Errorf("unknown name score[%s] = %g, want 1/3", l, p.Score(l))
 		}
 	}
 }
@@ -71,10 +70,10 @@ func TestPredictionIsDistribution(t *testing.T) {
 	p := c.Predict(learn.Instance{TagName: "agent-phone"})
 	sum := 0.0
 	for _, l := range labels {
-		if p[l] < 0 {
-			t.Errorf("negative score for %s: %g", l, p[l])
+		if p.Score(l) < 0 {
+			t.Errorf("negative score for %s: %g", l, p.Score(l))
 		}
-		sum += p[l]
+		sum += p.Score(l)
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("scores sum to %g, want 1", sum)
@@ -86,9 +85,9 @@ func TestSynonymExpansionHelps(t *testing.T) {
 	// "contact-tel" alone shares nothing; the synonym "phone" rescues it.
 	with := c.Predict(learn.Instance{TagName: "tel", Synonyms: []string{"phone"}})
 	without := c.Predict(learn.Instance{TagName: "tel"})
-	if with["AGENT-PHONE"] <= without["AGENT-PHONE"] {
+	if with.Score("AGENT-PHONE") <= without.Score("AGENT-PHONE") {
 		t.Errorf("synonym expansion did not raise AGENT-PHONE: %g vs %g",
-			with["AGENT-PHONE"], without["AGENT-PHONE"])
+			with.Score("AGENT-PHONE"), without.Score("AGENT-PHONE"))
 	}
 }
 
@@ -105,8 +104,8 @@ func TestPredictUntrainedStore(t *testing.T) {
 		t.Fatalf("Train empty: %v", err)
 	}
 	p := c.Predict(learn.Instance{TagName: "phone"})
-	if len(p) != len(labels) {
-		t.Fatalf("prediction over %d labels, want %d", len(p), len(labels))
+	if p.Len() != len(labels) {
+		t.Fatalf("prediction over %d labels, want %d", p.Len(), len(labels))
 	}
 	if c.NumStored() != 0 {
 		t.Errorf("NumStored = %d, want 0", c.NumStored())
@@ -142,7 +141,7 @@ func TestMinSimilarityThreshold(t *testing.T) {
 	}
 	p := c.Predict(learn.Instance{TagName: "phone"})
 	// Partial overlap is below the threshold: uniform fallback.
-	if math.Abs(p["AGENT-PHONE"]-1.0/3) > 1e-9 {
+	if math.Abs(p.Score("AGENT-PHONE")-1.0/3) > 1e-9 {
 		t.Errorf("threshold not applied: %v", p)
 	}
 }
@@ -173,9 +172,9 @@ func TestDedupeBoundsConfidence(t *testing.T) {
 	}
 	pDup := c.Predict(learn.Instance{TagName: "phone"})
 	pOne := single.Predict(learn.Instance{TagName: "phone"})
-	for l := range pOne {
-		if math.Abs(pDup[l]-pOne[l]) > 1e-12 {
-			t.Errorf("duplicates changed prediction for %s: %g vs %g", l, pDup[l], pOne[l])
+	for _, l := range pOne.Labels().Names() {
+		if math.Abs(pDup.Score(l)-pOne.Score(l)) > 1e-12 {
+			t.Errorf("duplicates changed prediction for %s: %g vs %g", l, pDup.Score(l), pOne.Score(l))
 		}
 	}
 }
@@ -185,14 +184,14 @@ func TestPredictCacheConsistent(t *testing.T) {
 	in := learn.Instance{TagName: "phone"}
 	first := c.Predict(in)
 	second := c.Predict(in) // served from cache
-	for l, s := range first {
-		if math.Abs(second[l]-s) > 1e-12 {
-			t.Errorf("cached prediction differs for %s: %g vs %g", l, second[l], s)
+	for l, s := range first.Map() {
+		if math.Abs(second.Score(l)-s) > 1e-12 {
+			t.Errorf("cached prediction differs for %s: %g vs %g", l, second.Score(l), s)
 		}
 	}
 	// Predictions are immutable by contract and the cache returns the
 	// shared instance rather than cloning per hit.
-	if reflect.ValueOf(first).UnsafePointer() != reflect.ValueOf(second).UnsafePointer() {
+	if &first.Scores()[0] != &second.Scores()[0] {
 		t.Error("cache hit returned a copy, not the shared prediction")
 	}
 }

@@ -19,26 +19,31 @@ const (
 
 // Convert collapses the predictions of all data instances in a column
 // into a single prediction for the column's source tag. An empty column
-// yields the uniform prediction over labels.
-func Convert(mode ConverterMode, labels []string, preds []learn.Prediction) learn.Prediction {
+// yields the uniform prediction over labels. The predictions must be
+// over labels (an empty one counts as all zeros); Convert panics on
+// another table.
+func Convert(mode ConverterMode, labels *learn.Labels, preds []learn.Prediction) learn.Prediction {
 	if len(preds) == 0 {
 		return learn.Uniform(labels)
 	}
-	out := make(learn.Prediction, len(labels))
+	out := learn.NewPrediction(labels)
+	scores := out.Scores()
 	switch mode {
 	case Max:
 		for _, p := range preds {
-			for _, c := range labels {
-				if p[c] > out[c] {
-					out[c] = p[c]
+			for id, s := range p.In(labels) {
+				if s > scores[id] {
+					scores[id] = s
 				}
 			}
 		}
 	default:
+		// Each label's running average adds the column's scores in
+		// instance order.
 		n := float64(len(preds))
 		for _, p := range preds {
-			for _, c := range labels {
-				out[c] += p[c] / n
+			for id, s := range p.In(labels) {
+				scores[id] += s / n
 			}
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/learn"
 	"repro/internal/parallel"
@@ -23,10 +22,10 @@ import (
 
 // Stacker holds the per-label learner weights fitted by stacking.
 type Stacker struct {
-	labels       []string
+	labels       *learn.Labels
 	learnerNames []string
-	// weights[label][j] = W_label_Lj.
-	weights map[string][]float64
+	// weights[id][j] = W_label_Lj for the label with that id.
+	weights [][]float64
 }
 
 // Config tunes stacking.
@@ -70,7 +69,7 @@ func DefaultConfig() Config { return Config{Folds: 5} }
 // bounds the concurrency of the per-learner (and per-fold)
 // cross-validation: 0 or negative = one worker per CPU, 1 = serial.
 // The fitted weights are identical at every setting.
-func Train(labels []string, names []string, factories []learn.Factory,
+func Train(labels *learn.Labels, names []string, factories []learn.Factory,
 	examples []learn.Example, cfg Config, seed int64, workers int) (*Stacker, error) {
 	if len(names) != len(factories) {
 		return nil, fmt.Errorf("meta: %d names but %d factories", len(names), len(factories))
@@ -79,14 +78,14 @@ func Train(labels []string, names []string, factories []learn.Factory,
 		return nil, fmt.Errorf("meta: no base learners")
 	}
 	s := &Stacker{
-		labels:       append([]string(nil), labels...),
+		labels:       labels,
 		learnerNames: append([]string(nil), names...),
-		weights:      make(map[string][]float64, len(labels)),
+		weights:      make([][]float64, labels.Len()),
 	}
 	k := len(factories)
 	if cfg.UniformWeights || len(examples) == 0 {
-		for _, c := range labels {
-			s.weights[c] = uniformWeights(k)
+		for id := range s.weights {
+			s.weights[id] = uniformWeights(k)
 		}
 		return s, nil
 	}
@@ -100,7 +99,7 @@ func Train(labels []string, names []string, factories []learn.Factory,
 	cv := make([][]learn.Prediction, k)
 	err := parallel.ForEach(context.Background(), workers, k, func(_ context.Context, j int) error {
 		rng := rand.New(rand.NewSource(learn.DeriveSeed(seed, int64(j))))
-		preds, err := learn.CrossValidate(factories[j], labels, examples, folds, rng, workers)
+		preds, err := learn.CrossValidate(factories[j], labels.Names(), examples, folds, rng, workers)
 		if err != nil {
 			return fmt.Errorf("meta: CV for %s: %w", names[j], err)
 		}
@@ -112,14 +111,21 @@ func Train(labels []string, names []string, factories []learn.Factory,
 	}
 
 	// Steps 5(b)-(c): per label, gather ⟨s(ci|x,L1..Lk), l(ci,x)⟩ and
-	// regress.
-	for _, c := range labels {
+	// regress. cvRows[j][i] is learner j's CV score row for example i.
+	cvRows := make([][][]float64, k)
+	for j := range cv {
+		cvRows[j] = make([][]float64, len(examples))
+		for i, p := range cv[j] {
+			cvRows[j][i] = p.In(labels)
+		}
+	}
+	for id, c := range labels.Names() {
 		x := make([][]float64, len(examples))
 		y := make([]float64, len(examples))
 		for i := range examples {
 			row := make([]float64, k)
 			for j := 0; j < k; j++ {
-				row[j] = cv[j][i][c]
+				row[j] = cvRows[j][i][id]
 			}
 			x[i] = row
 			if examples[i].Label == c {
@@ -139,7 +145,7 @@ func Train(labels []string, names []string, factories []learn.Factory,
 		if !cfg.RawWeights {
 			normalizeWeights(w, k)
 		}
-		s.weights[c] = w
+		s.weights[id] = w
 	}
 	return s, nil
 }
@@ -168,8 +174,8 @@ func uniformWeights(k int) []float64 {
 	return w
 }
 
-// Labels returns the label set the stacker was trained over.
-func (s *Stacker) Labels() []string { return s.labels }
+// Labels returns the label table the stacker was trained over.
+func (s *Stacker) Labels() *learn.Labels { return s.labels }
 
 // LearnerNames returns the base-learner names in weight order.
 func (s *Stacker) LearnerNames() []string { return s.learnerNames }
@@ -178,8 +184,8 @@ func (s *Stacker) LearnerNames() []string { return s.learnerNames }
 func (s *Stacker) Weight(label, learnerName string) float64 {
 	for j, n := range s.learnerNames {
 		if n == learnerName {
-			if w, ok := s.weights[label]; ok {
-				return w[j]
+			if id, ok := s.labels.ID(label); ok {
+				return s.weights[id][j]
 			}
 			return 0
 		}
@@ -190,33 +196,42 @@ func (s *Stacker) Weight(label, learnerName string) float64 {
 // Combine merges the base learners' predictions for one instance into a
 // single confidence distribution (§3.2 step 2): for each label the
 // combined score is the weight-scaled sum of the learners' scores,
-// clamped at zero and normalized.
+// clamped at zero and normalized. The predictions must be over the
+// stacker's label table (an empty one counts as all zeros); Combine
+// panics on another table, as on a wrong prediction count.
 func (s *Stacker) Combine(preds []learn.Prediction) learn.Prediction {
 	if len(preds) != len(s.learnerNames) {
 		panic(fmt.Sprintf("meta: Combine got %d predictions, want %d",
 			len(preds), len(s.learnerNames)))
 	}
-	out := make(learn.Prediction, len(s.labels))
-	for _, c := range s.labels {
-		w := s.weights[c]
+	// One score row per learner; a stack buffer for the usual few.
+	var rowBuf [8][]float64
+	rows := rowBuf[:0]
+	if len(preds) > len(rowBuf) {
+		rows = make([][]float64, 0, len(preds))
+	}
+	for _, p := range preds {
+		rows = append(rows, p.In(s.labels))
+	}
+	out := learn.NewPrediction(s.labels)
+	scores := out.Scores()
+	for id, w := range s.weights {
 		score := 0.0
-		for j, p := range preds {
-			score += w[j] * p[c]
+		for j, row := range rows {
+			score += w[j] * row[id]
 		}
-		out[c] = score
+		scores[id] = score
 	}
 	return out.Normalize()
 }
 
 // String summarizes the fitted weights, highest-variance labels first.
 func (s *Stacker) String() string {
-	labels := append([]string(nil), s.labels...)
-	sort.Strings(labels)
 	out := "meta-learner weights:\n"
-	for _, c := range labels {
-		out += "  " + c + ":"
+	for _, id := range s.labels.Sorted() {
+		out += "  " + s.labels.Name(id) + ":"
 		for j, n := range s.learnerNames {
-			out += fmt.Sprintf(" %s=%.3f", n, s.weights[c][j])
+			out += fmt.Sprintf(" %s=%.3f", n, s.weights[id][j])
 		}
 		out += "\n"
 	}

@@ -10,6 +10,18 @@ import (
 
 var labels = []string{"ADDRESS", "AGENT-PHONE", "DESCRIPTION"}
 
+// table is the label table of labels.
+var table = learn.LabelsOf(labels)
+
+// pred builds a prediction over table from label scores.
+func pred(scores map[string]float64) learn.Prediction {
+	p := learn.NewPrediction(table)
+	for c, s := range scores {
+		p.Set(c, s)
+	}
+	return p
+}
+
 // oracle predicts the true label perfectly via a tag->label table.
 type oracle struct {
 	table  map[string]string
@@ -26,12 +38,12 @@ func (o *oracle) Train(labels []string, examples []learn.Example) error {
 	return nil
 }
 func (o *oracle) Predict(in learn.Instance) learn.Prediction {
-	p := learn.Prediction{}
+	p := learn.NewPrediction(learn.LabelsOf(o.labels))
 	for _, c := range o.labels {
-		p[c] = 0.01
+		p.Set(c, 0.01)
 	}
 	if l, ok := o.table[in.TagName]; ok {
-		p[l] = 1
+		p.Set(l, 1)
 	}
 	return p.Normalize()
 }
@@ -43,13 +55,13 @@ type antiOracle struct {
 
 func (a *antiOracle) Name() string { return "anti" }
 func (a *antiOracle) Predict(in learn.Instance) learn.Prediction {
-	p := learn.Prediction{}
+	p := learn.NewPrediction(learn.LabelsOf(a.labels))
 	truth := a.table[in.TagName]
 	for _, c := range a.labels {
 		if c == truth {
-			p[c] = 0.01
+			p.Set(c, 0.01)
 		} else {
-			p[c] = 1
+			p.Set(c, 1)
 		}
 	}
 	return p.Normalize()
@@ -64,7 +76,7 @@ func (c *coin) Train(labels []string, _ []learn.Example) error {
 	return nil
 }
 func (c *coin) Predict(learn.Instance) learn.Prediction {
-	return learn.Uniform(c.labels)
+	return learn.Uniform(learn.LabelsOf(c.labels))
 }
 
 func sharedExamples() []learn.Example {
@@ -89,7 +101,7 @@ func sharedExamples() []learn.Example {
 
 func TestTrainWeightsFavorGoodLearner(t *testing.T) {
 	var seed int64 = 1
-	st, err := Train(labels,
+	st, err := Train(table,
 		[]string{"oracle", "anti"},
 		[]learn.Factory{
 			func() learn.Learner { return &oracle{} },
@@ -109,7 +121,7 @@ func TestTrainWeightsFavorGoodLearner(t *testing.T) {
 
 func TestCombineUsesWeights(t *testing.T) {
 	var seed int64 = 2
-	st, err := Train(labels,
+	st, err := Train(table,
 		[]string{"oracle", "anti"},
 		[]learn.Factory{
 			func() learn.Learner { return &oracle{} },
@@ -121,17 +133,17 @@ func TestCombineUsesWeights(t *testing.T) {
 	}
 	// Instance where the oracle says ADDRESS and the anti-oracle says
 	// anything else: combined must follow the oracle.
-	goodP := learn.Prediction{"ADDRESS": 0.9, "AGENT-PHONE": 0.05, "DESCRIPTION": 0.05}
-	badP := learn.Prediction{"ADDRESS": 0.05, "AGENT-PHONE": 0.9, "DESCRIPTION": 0.05}
+	goodP := pred(map[string]float64{"ADDRESS": 0.9, "AGENT-PHONE": 0.05, "DESCRIPTION": 0.05})
+	badP := pred(map[string]float64{"ADDRESS": 0.05, "AGENT-PHONE": 0.9, "DESCRIPTION": 0.05})
 	combined := st.Combine([]learn.Prediction{goodP, badP})
 	if best, _ := combined.Best(); best != "ADDRESS" {
-		t.Errorf("Combine Best = %q, want ADDRESS; combined = %v", best, combined)
+		t.Errorf("Combine Best = %q, want ADDRESS; combined = %v", best, combined.Map())
 	}
 }
 
 func TestCombinedBeatsUninformativeLearner(t *testing.T) {
 	var seed int64 = 3
-	st, err := Train(labels,
+	st, err := Train(table,
 		[]string{"oracle", "coin"},
 		[]learn.Factory{
 			func() learn.Learner { return &oracle{} },
@@ -150,7 +162,7 @@ func TestCombinedBeatsUninformativeLearner(t *testing.T) {
 
 func TestUniformWeightsConfig(t *testing.T) {
 	cfg := Config{Folds: 5, UniformWeights: true}
-	st, err := Train(labels, []string{"a", "b"},
+	st, err := Train(table, []string{"a", "b"},
 		[]learn.Factory{
 			func() learn.Learner { return &coin{} },
 			func() learn.Learner { return &coin{} },
@@ -167,7 +179,7 @@ func TestUniformWeightsConfig(t *testing.T) {
 }
 
 func TestTrainNoExamples(t *testing.T) {
-	st, err := Train(labels, []string{"a"},
+	st, err := Train(table, []string{"a"},
 		[]learn.Factory{func() learn.Learner { return &coin{} }},
 		nil, DefaultConfig(), 5, 0)
 	if err != nil {
@@ -179,16 +191,16 @@ func TestTrainNoExamples(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(labels, []string{"a"}, nil, nil, DefaultConfig(), 0, 0); err == nil {
+	if _, err := Train(table, []string{"a"}, nil, nil, DefaultConfig(), 0, 0); err == nil {
 		t.Error("mismatched names/factories should error")
 	}
-	if _, err := Train(labels, nil, nil, nil, DefaultConfig(), 0, 0); err == nil {
+	if _, err := Train(table, nil, nil, nil, DefaultConfig(), 0, 0); err == nil {
 		t.Error("no learners should error")
 	}
 }
 
 func TestCombinePanicsOnArity(t *testing.T) {
-	st, _ := Train(labels, []string{"a"},
+	st, _ := Train(table, []string{"a"},
 		[]learn.Factory{func() learn.Learner { return &coin{} }},
 		nil, DefaultConfig(), 6, 0)
 	defer func() {
@@ -199,8 +211,25 @@ func TestCombinePanicsOnArity(t *testing.T) {
 	st.Combine([]learn.Prediction{{}, {}})
 }
 
+func TestCombinePanicsOnAnotherTable(t *testing.T) {
+	st, _ := Train(table, []string{"a"},
+		[]learn.Factory{func() learn.Learner { return &coin{} }},
+		nil, DefaultConfig(), 6, 0)
+	// An empty prediction counts as zeros.
+	if got := st.Combine([]learn.Prediction{{}}); got.Len() != len(labels) {
+		t.Errorf("Combine of an empty prediction has %d labels, want %d", got.Len(), len(labels))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Combine accepted a prediction over another label table")
+		}
+	}()
+	other := learn.Uniform(learn.LabelsOf([]string{"DESCRIPTION", "ADDRESS", "AGENT-PHONE"}))
+	st.Combine([]learn.Prediction{other})
+}
+
 func TestCombineIsNormalized(t *testing.T) {
-	st, err := Train(labels,
+	st, err := Train(table,
 		[]string{"oracle", "anti"},
 		[]learn.Factory{
 			func() learn.Learner { return &oracle{} },
@@ -211,14 +240,14 @@ func TestCombineIsNormalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	combined := st.Combine([]learn.Prediction{
-		learn.Uniform(labels), learn.Uniform(labels),
+		learn.Uniform(table), learn.Uniform(table),
 	})
 	sum := 0.0
 	for _, c := range labels {
-		if combined[c] < 0 {
-			t.Errorf("negative combined score: %v", combined)
+		if combined.Score(c) < 0 {
+			t.Errorf("negative combined score: %v", combined.Map())
 		}
-		sum += combined[c]
+		sum += combined.Score(c)
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("combined sum = %g", sum)
@@ -226,7 +255,7 @@ func TestCombineIsNormalized(t *testing.T) {
 }
 
 func TestStringMentionsWeights(t *testing.T) {
-	st, _ := Train(labels, []string{"a"},
+	st, _ := Train(table, []string{"a"},
 		[]learn.Factory{func() learn.Learner { return &coin{} }},
 		nil, DefaultConfig(), 8, 0)
 	s := st.String()
@@ -240,21 +269,21 @@ func TestPaperExampleWeights(t *testing.T) {
 	// W_ADDRESS_NaiveBayes = 0.8 combine ⟨0.5⟩ and ⟨0.7⟩ into 0.71
 	// before normalization.
 	st := &Stacker{
-		labels:       labels,
+		labels:       table,
 		learnerNames: []string{"NameMatcher", "NaiveBayes"},
-		weights: map[string][]float64{
-			"ADDRESS":     {0.3, 0.8},
-			"AGENT-PHONE": {0.3, 0.8},
-			"DESCRIPTION": {0.3, 0.8},
+		weights: [][]float64{
+			{0.3, 0.8}, // ADDRESS
+			{0.3, 0.8}, // AGENT-PHONE
+			{0.3, 0.8}, // DESCRIPTION
 		},
 	}
-	nm := learn.Prediction{"ADDRESS": 0.5, "DESCRIPTION": 0.3, "AGENT-PHONE": 0.2}
-	nb := learn.Prediction{"ADDRESS": 0.7, "DESCRIPTION": 0.3, "AGENT-PHONE": 0.0}
+	nm := pred(map[string]float64{"ADDRESS": 0.5, "DESCRIPTION": 0.3, "AGENT-PHONE": 0.2})
+	nb := pred(map[string]float64{"ADDRESS": 0.7, "DESCRIPTION": 0.3, "AGENT-PHONE": 0.0})
 	combined := st.Combine([]learn.Prediction{nm, nb})
 	// Unnormalized: ADDRESS 0.71, DESCRIPTION 0.33, AGENT-PHONE 0.06.
 	wantAddr := 0.71 / (0.71 + 0.33 + 0.06)
-	if math.Abs(combined["ADDRESS"]-wantAddr) > 1e-9 {
-		t.Errorf("ADDRESS = %g, want %g", combined["ADDRESS"], wantAddr)
+	if math.Abs(combined.Score("ADDRESS")-wantAddr) > 1e-9 {
+		t.Errorf("ADDRESS = %g, want %g", combined.Score("ADDRESS"), wantAddr)
 	}
 	if best, _ := combined.Best(); best != "ADDRESS" {
 		t.Errorf("Best = %q", best)

@@ -4,7 +4,11 @@ package meta
 // immutable after Train, carried verbatim through model artifacts so a
 // restored stacker combines predictions bit-identically.
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/learn"
+)
 
 // StackerState is the serializable view of a fitted Stacker. Weights
 // aligns row-for-row with Labels; each row aligns with LearnerNames.
@@ -17,12 +21,12 @@ type StackerState struct {
 // State snapshots the stacker.
 func (s *Stacker) State() *StackerState {
 	st := &StackerState{
-		Labels:       append([]string(nil), s.labels...),
+		Labels:       append([]string(nil), s.labels.Names()...),
 		LearnerNames: append([]string(nil), s.learnerNames...),
-		Weights:      make([][]float64, len(s.labels)),
+		Weights:      make([][]float64, len(s.weights)),
 	}
-	for i, c := range s.labels {
-		st.Weights[i] = append([]float64(nil), s.weights[c]...)
+	for id, w := range s.weights {
+		st.Weights[id] = append([]float64(nil), w...)
 	}
 	return st
 }
@@ -41,19 +45,19 @@ func RestoreStacker(st *StackerState) (*Stacker, error) {
 		return nil, fmt.Errorf("meta: %d weight rows for %d labels", len(st.Weights), len(st.Labels))
 	}
 	s := &Stacker{
-		labels:       append([]string(nil), st.Labels...),
+		labels:       learn.LabelsOf(st.Labels),
 		learnerNames: append([]string(nil), st.LearnerNames...),
-		weights:      make(map[string][]float64, len(st.Labels)),
+		weights:      make([][]float64, len(st.Labels)),
 	}
-	for i, c := range s.labels {
-		if _, dup := s.weights[c]; dup {
+	for id, c := range st.Labels {
+		if first, _ := s.labels.ID(c); first != id {
 			return nil, fmt.Errorf("meta: duplicate label %q in stacker state", c)
 		}
-		if len(st.Weights[i]) != len(s.learnerNames) {
+		if len(st.Weights[id]) != len(s.learnerNames) {
 			return nil, fmt.Errorf("meta: label %q has %d weights for %d learners",
-				c, len(st.Weights[i]), len(s.learnerNames))
+				c, len(st.Weights[id]), len(s.learnerNames))
 		}
-		s.weights[c] = append([]float64(nil), st.Weights[i]...)
+		s.weights[id] = append([]float64(nil), st.Weights[id]...)
 	}
 	return s, nil
 }

@@ -21,7 +21,7 @@ func TestNormalizeWeights(t *testing.T) {
 }
 
 func TestNormalizedWeightsSumToOne(t *testing.T) {
-	st, err := Train(labels,
+	st, err := Train(table,
 		[]string{"oracle", "anti", "coin"},
 		[]learn.Factory{
 			func() learn.Learner { return &oracle{} },
@@ -50,7 +50,7 @@ func TestNormalizedWeightsSumToOne(t *testing.T) {
 func TestRawWeightsConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RawWeights = true
-	st, err := Train(labels,
+	st, err := Train(table,
 		[]string{"oracle", "coin"},
 		[]learn.Factory{
 			func() learn.Learner { return &oracle{} },
@@ -75,7 +75,7 @@ func TestAllowNegativeWeightsConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AllowNegativeWeights = true
 	cfg.RawWeights = true
-	_, err := Train(labels,
+	_, err := Train(table,
 		[]string{"oracle", "anti"},
 		[]learn.Factory{
 			func() learn.Learner { return &oracle{} },
@@ -88,7 +88,7 @@ func TestAllowNegativeWeightsConfig(t *testing.T) {
 }
 
 func TestWeightUnknownLearner(t *testing.T) {
-	st, _ := Train(labels, []string{"a"},
+	st, _ := Train(table, []string{"a"},
 		[]learn.Factory{func() learn.Learner { return &coin{} }},
 		nil, DefaultConfig(), 12, 0)
 	if st.Weight("ADDRESS", "nope") != 0 {

@@ -98,7 +98,7 @@ func State(tb testing.TB) *core.SystemState {
 			constraint.Describe(constraint.AtMostOne("PRICE")),
 			constraint.Describe(constraint.AtMostOne("AGENT-NAME")),
 		},
-		Labels:   labels,
+		Labels:   learn.LabelsOf(labels),
 		Names:    []string{"NameMatcher", "NaiveBayes"},
 		Learners: []learn.Learner{train(namematcher.New()), train(naivebayes.New())},
 		Stacker:  stacker,
@@ -134,7 +134,7 @@ func MatchFingerprint(sys *core.System, res *core.MatchResult) string {
 	for _, tag := range tags {
 		fmt.Fprintf(&b, "%s -> %s\n", tag, res.Mapping[tag])
 		for _, label := range sys.Labels() {
-			fmt.Fprintf(&b, "  %s=%.17g\n", label, res.TagPredictions[tag][label])
+			fmt.Fprintf(&b, "  %s=%.17g\n", label, res.TagPredictions[tag].Score(label))
 		}
 	}
 	return b.String()

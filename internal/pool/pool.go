@@ -51,13 +51,13 @@ func (f *Floats) Put(buf []float64) {
 
 // Preds pools []learn.Prediction scratch rows — the per-instance
 // base-learner prediction vectors the stacker combines. Entries are
-// nilled on Put so the pool never retains predictions (which may be
+// emptied on Put so the pool never retains predictions (which may be
 // shared with learner caches) beyond the request that used them.
 type Preds struct {
 	p sync.Pool
 }
 
-// Get returns an all-nil prediction slice of length n. The caller
+// Get returns an all-empty prediction slice of length n. The caller
 // must hand it back via Put before returning and must not let it
 // escape.
 //
@@ -71,10 +71,10 @@ func (s *Preds) Get(n int) []learn.Prediction {
 	return make([]learn.Prediction, n)
 }
 
-// Put nils out buf and recycles it.
+// Put empties buf and recycles it.
 func (s *Preds) Put(buf []learn.Prediction) {
 	for i := range buf {
-		buf[i] = nil
+		buf[i] = learn.Prediction{}
 	}
 	s.p.Put(&buf)
 }

@@ -154,10 +154,10 @@ func TestMatchHandler(t *testing.T) {
 	}
 	for tag, wp := range want.TagPredictions {
 		gp := got.Predictions[tag]
-		if len(gp) != len(wp) {
-			t.Fatalf("tag %q: %d scores, want %d", tag, len(gp), len(wp))
+		if len(gp) != wp.Len() {
+			t.Fatalf("tag %q: %d scores, want %d", tag, len(gp), wp.Len())
 		}
-		for label, wv := range wp {
+		for label, wv := range wp.Map() {
 			if gv, ok := gp[label]; !ok || math.Float64bits(gv) != math.Float64bits(wv) {
 				t.Errorf("tag %q label %q: served %v, want %v", tag, label, gp[label], wv)
 			}

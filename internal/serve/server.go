@@ -317,7 +317,7 @@ func (s *Server) match(ctx context.Context, req *MatchRequest) (MatchResponse, i
 	if !req.OmitPredictions {
 		resp.Predictions = make(map[string]map[string]float64, len(res.TagPredictions))
 		for tag, p := range res.TagPredictions {
-			resp.Predictions[tag] = p
+			resp.Predictions[tag] = p.Map()
 		}
 	}
 	return resp, http.StatusOK

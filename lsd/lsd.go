@@ -60,8 +60,13 @@ type (
 	Learner = learn.Learner
 	// Instance is one XML element as the learners see it.
 	Instance = learn.Instance
-	// Prediction is a confidence-score distribution over labels.
+	// Prediction is a confidence-score distribution over a label
+	// table: a dense score vector indexed by label id that names its
+	// own labels (Labels, Score, Best, Map).
 	Prediction = learn.Prediction
+	// Labels is a label table: a model's fixed label set, numbered in
+	// training order.
+	Labels = learn.Labels
 	// LabelHierarchy arranges mediated labels in a taxonomy so that
 	// ambiguous tags can be matched with their most specific
 	// unambiguous ancestor (the §7 partial-mapping extension).
@@ -77,6 +82,19 @@ func NewLabelHierarchy(parentOf map[string]string) *LabelHierarchy {
 
 // Other is the reserved label for source tags that match nothing.
 const Other = learn.Other
+
+// Building predictions in a custom Learner.
+var (
+	// LabelsOf returns the label table over the labels a learner was
+	// trained with. Tables are interned, so every learner of a model
+	// gets the model's own table.
+	LabelsOf = learn.LabelsOf
+	// NewPrediction returns an all-zero prediction over a table, the
+	// one constructor a custom Learner builds its predictions with:
+	// fill it with Set (or Scores, by label id) and return it
+	// normalized.
+	NewPrediction = learn.NewPrediction
+)
 
 // DefaultConfig returns the complete LSD system of the paper's
 // experiments: name matcher, content matcher, Naive Bayes, XML learner,
