@@ -295,8 +295,9 @@ func newMutResolver(d *FuncDecl) *mutResolver {
 	for i, v := range funcSlots(d.Fn) {
 		r.slotOf[v] = i
 	}
-	// Alias pre-pass: a local variable bound to a reference-typed value
-	// rooted at a slot stands for that slot (buf := p.buf). The pass is
+	// Alias pre-pass: a local variable bound to a value rooted at a slot
+	// that shares state with it stands for that slot (buf := p.buf, or
+	// q := p for a struct holding a slice). The pass is
 	// flow-insensitive — an alias established anywhere in the body
 	// counts everywhere — which over-approximates but stays
 	// deterministic.
@@ -315,7 +316,7 @@ func newMutResolver(d *FuncDecl) *mutResolver {
 		if _, isSlot := r.slotOf[obj]; isSlot {
 			return // rebinding a parameter is not an alias
 		}
-		if !isRefType(obj.Type()) {
+		if !sharesState(obj.Type()) {
 			return
 		}
 		if p.obj == nil || p.obj == obj {
@@ -666,16 +667,46 @@ type trackInfo struct {
 	path string
 }
 
+// trackSpec configures value tracking (track): which calls produce a
+// tracked value, which types carry it, and which calls hand on an
+// operand's state.
+type trackSpec struct {
+	// source matches the calls whose result is tracked, naming them.
+	source func(*ast.CallExpr) (string, bool)
+	// ref reports whether copies of a value of the type share state, so
+	// that holding a copy is holding the tracked value. Only such values
+	// are tracked.
+	ref func(types.Type) bool
+	// carries returns the operands of a call whose state the call's
+	// result shares — an accessor that returns its receiver's slice; nil
+	// when no call does.
+	carries func(*ast.CallExpr) []ast.Expr
+}
+
+// tracker holds one function's tracked locals.
+type tracker struct {
+	info *types.Info
+	spec trackSpec
+	// vars maps each tracked local to where and how it holds the value.
+	vars map[*types.Var]trackInfo
+}
+
 // trackedVars collects, flow-insensitively, the local variables of d
 // whose reference-typed value derives from a call matched by isSource
 // — directly, through alias assignments and multi-value binds, or via
 // storage into an element or field of a local container — returning
-// var → acquisition info. Used by sharedread (values from lint:shared
-// calls), poolescape (values from sync.Pool.Get / lint:scratch
-// accessors), and cowstore (atomic.Pointer.Load snapshots).
+// var → acquisition info. Used by poolescape (values from
+// sync.Pool.Get / lint:scratch accessors) and cowstore
+// (atomic.Pointer.Load snapshots); sharedread tracks with its own spec.
 func trackedVars(d *FuncDecl, isSource func(*ast.CallExpr) (string, bool)) map[*types.Var]trackInfo {
+	return track(d, trackSpec{source: isSource, ref: isRefType}).vars
+}
+
+// track runs trackedVars' collection under spec.
+func track(d *FuncDecl, spec trackSpec) *tracker {
 	info := d.Pkg.Info
-	tracked := make(map[*types.Var]trackInfo)
+	t := &tracker{info: info, spec: spec, vars: make(map[*types.Var]trackInfo)}
+	tracked := t.vars
 	bind := func(lhs ast.Expr, ti trackInfo) {
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 			if id.Name == "_" {
@@ -686,7 +717,7 @@ func trackedVars(d *FuncDecl, isSource func(*ast.CallExpr) (string, bool)) map[*
 				obj = info.Uses[id]
 			}
 			v, ok := obj.(*types.Var)
-			if !ok || !isRefType(v.Type()) {
+			if !ok || !spec.ref(v.Type()) {
 				return
 			}
 			if isPackageLevel(v) {
@@ -706,36 +737,13 @@ func trackedVars(d *FuncDecl, isSource func(*ast.CallExpr) (string, bool)) map[*
 		// source value.
 		p := peelRef(info, lhs)
 		v, ok := p.obj.(*types.Var)
-		if !ok || isPackageLevel(v) || p.path == "" || !isRefType(info.TypeOf(lhs)) {
+		if !ok || isPackageLevel(v) || p.path == "" || !spec.ref(info.TypeOf(lhs)) {
 			return
 		}
 		ti.path = joinPath(p.path, ti.path)
 		if _, have := tracked[v]; !have {
 			tracked[v] = ti
 		}
-	}
-	fromSource := func(e ast.Expr) (trackInfo, bool) {
-		p := peelRef(info, e)
-		if p.call != nil {
-			if desc, ok := isSource(p.call); ok {
-				return trackInfo{desc: desc, pos: p.call.Pos()}, true
-			}
-		}
-		if v, ok := p.obj.(*types.Var); ok {
-			if ti, ok := tracked[v]; ok && isRefType(info.TypeOf(e)) {
-				switch {
-				case strings.HasPrefix(p.path, ti.path):
-					// e reads the source value itself (or state inside
-					// it): the result is the value, path-free.
-					return trackInfo{desc: ti.desc, pos: ti.pos}, true
-				case strings.HasPrefix(ti.path, p.path):
-					// e reads a container that holds the source value
-					// deeper in; the remainder locates it.
-					return trackInfo{desc: ti.desc, pos: ti.pos, path: ti.path[len(p.path):]}, true
-				}
-			}
-		}
-		return trackInfo{}, false
 	}
 	// Flow-insensitive: iterate until no new variable is tracked, so
 	// aliases established before their source assignment (loops) are
@@ -748,12 +756,12 @@ func trackedVars(d *FuncDecl, isSource func(*ast.CallExpr) (string, bool)) map[*
 			case *ast.AssignStmt:
 				if len(n.Lhs) == len(n.Rhs) {
 					for i, lhs := range n.Lhs {
-						if ti, ok := fromSource(n.Rhs[i]); ok {
+						if ti, ok := t.value(n.Rhs[i]); ok {
 							bind(lhs, ti)
 						}
 					}
 				} else if len(n.Rhs) == 1 {
-					if ti, ok := fromSource(n.Rhs[0]); ok {
+					if ti, ok := t.value(n.Rhs[0]); ok {
 						for _, lhs := range n.Lhs {
 							bind(lhs, ti)
 						}
@@ -762,12 +770,12 @@ func trackedVars(d *FuncDecl, isSource func(*ast.CallExpr) (string, bool)) map[*
 			case *ast.ValueSpec:
 				if len(n.Names) == len(n.Values) {
 					for i, name := range n.Names {
-						if ti, ok := fromSource(n.Values[i]); ok {
+						if ti, ok := t.value(n.Values[i]); ok {
 							bind(name, ti)
 						}
 					}
 				} else if len(n.Values) == 1 {
-					if ti, ok := fromSource(n.Values[0]); ok {
+					if ti, ok := t.value(n.Values[0]); ok {
 						for _, name := range n.Names {
 							bind(name, ti)
 						}
@@ -779,7 +787,7 @@ func trackedVars(d *FuncDecl, isSource func(*ast.CallExpr) (string, bool)) map[*
 				// container's elements, so a container-tracked path
 				// sheds its leading index step.
 				if n.Value != nil {
-					if ti, ok := fromSource(n.X); ok {
+					if ti, ok := t.value(n.X); ok {
 						if strings.HasPrefix(ti.path, "[*]") {
 							ti.path = ti.path[len("[*]"):]
 							bind(n.Value, ti)
@@ -795,7 +803,63 @@ func trackedVars(d *FuncDecl, isSource func(*ast.CallExpr) (string, bool)) map[*
 			changed = true
 		}
 	}
-	return tracked
+	return t
+}
+
+// value reports whether e evaluates to a tracked value — a source
+// call's result, state inside a tracked local, or an accessor's result
+// over either — or to a container holding one deeper in, and where
+// (trackInfo.path, "" for the value itself).
+func (t *tracker) value(e ast.Expr) (trackInfo, bool) {
+	p := peelRef(t.info, e)
+	if p.call != nil {
+		if desc, ok := t.spec.source(p.call); ok {
+			return trackInfo{desc: desc, pos: p.call.Pos()}, true
+		}
+		if t.spec.carries != nil {
+			for _, op := range t.spec.carries(p.call) {
+				if ti, ok := t.value(op); ok && ti.path == "" {
+					return ti, true
+				}
+			}
+		}
+		return trackInfo{}, false
+	}
+	v, ok := p.obj.(*types.Var)
+	if !ok {
+		return trackInfo{}, false
+	}
+	ti, ok := t.vars[v]
+	if !ok || !t.spec.ref(t.info.TypeOf(e)) {
+		return trackInfo{}, false
+	}
+	switch {
+	case strings.HasPrefix(p.path, ti.path):
+		// e reads the source value itself (or state inside it): the
+		// result is the value, path-free.
+		return trackInfo{desc: ti.desc, pos: ti.pos}, true
+	case strings.HasPrefix(ti.path, p.path):
+		// e reads a container that holds the source value deeper in;
+		// the remainder locates it.
+		return trackInfo{desc: ti.desc, pos: ti.pos, path: ti.path[len(p.path):]}, true
+	}
+	return trackInfo{}, false
+}
+
+// root peels e and returns the tracked value at its root — a tracked
+// local, or a call whose result is tracked — with the peeled access
+// path from there.
+func (t *tracker) root(e ast.Expr) (peeled, trackInfo, bool) {
+	p := peelRef(t.info, e)
+	if v, ok := p.obj.(*types.Var); ok {
+		ti, ok := t.vars[v]
+		return p, ti, ok
+	}
+	if p.call != nil {
+		ti, ok := t.value(p.call)
+		return p, ti, ok
+	}
+	return p, trackInfo{}, false
 }
 
 // pathMutates reports whether a write peeled to writePath mutates a

@@ -24,7 +24,16 @@ import (
 // value tracked to a shared call — element assignment, delete, append
 // growth — or passing it to a callee whose summary mutates that
 // parameter, interprocedurally through the call graph. Callers that
-// need to modify a result must Clone it first.
+// need to modify a result must Clone it first. Only the producers that
+// own the value (the annotated functions and the implementations) are
+// exempt; a helper that merely forwards a shared value is checked.
+//
+// A shared value need not be a map or a slice: a struct that holds one
+// (learn.Prediction, a score slice and its label table) shares its
+// state with every copy, so copies are tracked too, and a method with a
+// value receiver that writes through the slice mutates the shared
+// value. An accessor that returns a tracked value's state (Scores, In)
+// hands on the same storage, so its result is tracked as well.
 var SharedRead = &Analyzer{
 	Name: "sharedread",
 	Doc:  "values returned by // lint:shared functions are read-only and must never be mutated",
@@ -36,78 +45,64 @@ func runSharedRead(pass *Pass) {
 	if len(shared) == 0 {
 		return
 	}
+	producers := sharedProducers(pass.Prog)
 	sums := MutSummaries(pass.Prog)
-	isShared := func(info *types.Info, call *ast.CallExpr) (string, bool) {
-		fn := staticOrIfaceCallee(info, call)
-		if fn == nil || !shared[fn] {
-			return "", false
-		}
-		return funcDisplayName(fn), true
-	}
 	for _, d := range pass.Prog.Decls() {
 		if d.Pkg.Pkg != pass.Pkg {
 			continue
 		}
-		if shared[d.Fn] {
+		if producers[d.Fn] {
 			continue // the producer itself may build the value it shares
 		}
 		info := d.Pkg.Info
-		tracked := trackedVars(d, func(call *ast.CallExpr) (string, bool) {
-			return isShared(info, call)
-		})
-		if len(tracked) == 0 {
-			continue
-		}
-		trackedRoot := func(e ast.Expr) (peeled, trackInfo, bool) {
-			p := peelRef(info, e)
-			v, ok := p.obj.(*types.Var)
-			if !ok {
-				return p, trackInfo{}, false
+		tr := sharedTracker(pass.Prog, d, func(call *ast.CallExpr) (string, bool) {
+			fn := staticOrIfaceCallee(info, call)
+			if fn == nil || !shared[fn] {
+				return "", false
 			}
-			ti, ok := tracked[v]
-			return p, ti, ok
+			return funcDisplayName(fn), true
+		})
+		checkWrite := func(lhs ast.Expr) {
+			if p, ti, ok := tr.root(lhs); ok && p.indirect && pathMutates(p.path, ti.path) {
+				pass.Reportf(lhs.Pos(),
+					"writes to %s%s, the shared value returned by %s; lint:shared results are read-only — Clone before modifying",
+					rootName(p), p.path, ti.desc)
+			}
 		}
 		ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if p, ti, ok := trackedRoot(lhs); ok && p.indirect && pathMutates(p.path, ti.path) {
-						pass.Reportf(lhs.Pos(),
-							"writes to %s%s, the shared value returned by %s; lint:shared results are read-only — Clone before modifying",
-							p.obj.Name(), p.path, ti.desc)
-					}
+					checkWrite(lhs)
 				}
 			case *ast.IncDecStmt:
-				if p, ti, ok := trackedRoot(n.X); ok && p.indirect && pathMutates(p.path, ti.path) {
-					pass.Reportf(n.X.Pos(),
-						"writes to %s%s, the shared value returned by %s; lint:shared results are read-only — Clone before modifying",
-						p.obj.Name(), p.path, ti.desc)
-				}
+				checkWrite(n.X)
 			case *ast.CallExpr:
-				checkSharedCall(pass, info, n, tracked, sums)
+				checkSharedCall(pass, tr, n, sums)
 			}
 			return true
 		})
 	}
 }
 
+// rootName renders the root of a peeled expression for a diagnostic:
+// the variable, or the call.
+func rootName(p peeled) string {
+	if p.obj != nil {
+		return p.obj.Name()
+	}
+	return types.ExprString(p.call)
+}
+
 // checkSharedCall flags builtin mutators (delete, copy) applied to a
 // shared value and calls whose callee summary mutates a parameter the
 // shared value occupies — the interprocedural half of the contract.
-func checkSharedCall(pass *Pass, info *types.Info, call *ast.CallExpr, tracked map[*types.Var]trackInfo, sums map[*types.Func]*MutSummary) {
-	trackedOf := func(e ast.Expr) (peeled, trackInfo, bool) {
-		p := peelRef(info, e)
-		v, ok := p.obj.(*types.Var)
-		if !ok {
-			return p, trackInfo{}, false
-		}
-		ti, ok := tracked[v]
-		return p, ti, ok
-	}
+func checkSharedCall(pass *Pass, tr *tracker, call *ast.CallExpr, sums map[*types.Func]*MutSummary) {
+	info := tr.info
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			if (b.Name() == "delete" || b.Name() == "copy") && len(call.Args) > 0 {
-				if p, ti, ok := trackedOf(call.Args[0]); ok && strings.HasPrefix(p.path, ti.path) {
+				if p, ti, ok := tr.root(call.Args[0]); ok && strings.HasPrefix(p.path, ti.path) {
 					pass.Reportf(call.Pos(),
 						"%s mutates the shared value returned by %s; lint:shared results are read-only — Clone before modifying",
 						b.Name(), ti.desc)
@@ -130,11 +125,11 @@ func checkSharedCall(pass *Pass, info *types.Info, call *ast.CallExpr, tracked m
 			continue
 		}
 		for _, arg := range args {
-			p, ti, ok := trackedOf(arg)
+			p, ti, ok := tr.root(arg)
 			if !ok {
 				continue
 			}
-			if !p.addrOf && !isRefType(info.TypeOf(arg)) {
+			if !p.addrOf && !sharesState(info.TypeOf(arg)) {
 				continue // passed by value: the callee mutates its own copy
 			}
 			hit := calleeMutationHit(paths, p.path, ti.path)
@@ -148,13 +143,132 @@ func checkSharedCall(pass *Pass, info *types.Info, call *ast.CallExpr, tracked m
 	}
 }
 
-// sharedFuncs computes (once per program, cached) the closed set of
-// shared-producing functions: `// lint:shared` declarations,
-// `// lint:shared` interface methods, methods implementing such an
-// interface method, and functions whose return value derives from a
-// shared call.
-func sharedFuncs(prog *Program) map[*types.Func]bool {
-	return prog.Cache("sharedread.funcs", func() any {
+// sharesState reports whether copies of a value of type t share state,
+// so that a write through one copy shows through the others: the
+// reference types of isRefType, and structs and arrays that hold one.
+// Copying a learn.Prediction copies its slice header, not its scores.
+// poolescape and cowstore keep isRefType: their values are pointers,
+// maps and slices, and a struct merely holding pooled scratch is not
+// the scratch.
+func sharesState(t types.Type) bool {
+	if isRefType(t) {
+		return true
+	}
+	if t == nil {
+		return false
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if sharesState(u.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Array:
+		return sharesState(u.Elem())
+	}
+	return false
+}
+
+// sharedTracker tracks d's locals holding values from calls matched by
+// isSource, as sharedread sees them: sharesState values, carried
+// through accessors (carriedSlots).
+func sharedTracker(prog *Program, d *FuncDecl, isSource func(*ast.CallExpr) (string, bool)) *tracker {
+	info := d.Pkg.Info
+	carried := carriedSlots(prog)
+	return track(d, trackSpec{
+		source: isSource,
+		ref:    sharesState,
+		carries: func(call *ast.CallExpr) []ast.Expr {
+			callee, slotArgs := calleeSlotArgs(info, call)
+			var ops []ast.Expr
+			for j, args := range slotArgs {
+				if carried[callee][j] {
+					ops = append(ops, args...)
+				}
+			}
+			return ops
+		},
+	})
+}
+
+// carriedSlots computes (once per program, cached) each function's
+// accessor slots: the receiver or parameters whose state a value it
+// returns shares — `return p.scores`, `return p`, or another
+// accessor's result over them — iterated to fixpoint over the call
+// graph. A fresh value (a composite literal, a copy made by append)
+// carries nothing, so Clone is not an accessor.
+func carriedSlots(prog *Program) map[*types.Func]map[int]bool {
+	return prog.Cache("sharedread.carries", func() any {
+		carried := make(map[*types.Func]map[int]bool)
+		decls := prog.Decls()
+		resolvers := make([]*mutResolver, len(decls))
+		for i, d := range decls {
+			resolvers[i] = newMutResolver(d)
+		}
+		for changed := true; changed; {
+			changed = false
+			for i, d := range decls {
+				r := resolvers[i]
+				var roots func(e ast.Expr, depth int)
+				roots = func(e ast.Expr, depth int) {
+					p := peelRef(r.info, e)
+					if slot, _, ok := r.resolve(p.obj); ok {
+						if carried[d.Fn] == nil {
+							carried[d.Fn] = make(map[int]bool)
+						}
+						if !carried[d.Fn][slot] {
+							carried[d.Fn][slot] = true
+							changed = true
+						}
+						return
+					}
+					if p.call == nil || depth >= 8 {
+						return
+					}
+					callee, slotArgs := calleeSlotArgs(r.info, p.call)
+					for j, args := range slotArgs {
+						if carried[callee][j] {
+							for _, a := range args {
+								roots(a, depth+1)
+							}
+						}
+					}
+				}
+				forEachReturn(d, func(res ast.Expr) {
+					if sharesState(r.info.TypeOf(res)) {
+						roots(res, 0)
+					}
+				})
+			}
+		}
+		return carried
+	}).(map[*types.Func]map[int]bool)
+}
+
+// forEachReturn visits the results of d's own return statements, not
+// those of the function literals inside it.
+func forEachReturn(d *FuncDecl, visit func(ast.Expr)) {
+	ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				visit(res)
+			}
+		}
+		return true
+	})
+}
+
+// sharedProducers computes (once per program, cached) the functions
+// that own the values they share: `// lint:shared` declarations,
+// `// lint:shared` interface methods, and methods implementing such an
+// interface method. A producer may build the value it shares, so its
+// own body is not checked.
+func sharedProducers(prog *Program) map[*types.Func]bool {
+	return prog.Cache("sharedread.producers", func() any {
 		shared := make(map[*types.Func]bool)
 		for _, d := range annotatedRoots(prog, "lint:shared") {
 			shared[d.Fn] = true
@@ -188,6 +302,21 @@ func sharedFuncs(prog *Program) map[*types.Func]bool {
 				}
 			}
 		}
+		return shared
+	}).(map[*types.Func]bool)
+}
+
+// sharedFuncs computes (once per program, cached) the closed set of
+// shared-producing functions: the producers, and functions whose
+// return value derives from a shared call. A function of the second
+// kind only forwards storage it does not own, so its body is checked
+// like any caller's.
+func sharedFuncs(prog *Program) map[*types.Func]bool {
+	return prog.Cache("sharedread.funcs", func() any {
+		shared := make(map[*types.Func]bool)
+		for fn := range sharedProducers(prog) {
+			shared[fn] = true
+		}
 		// Return-derivation closure: a function returning a shared
 		// call's result hands out the same storage.
 		for changed := true; changed; {
@@ -196,10 +325,10 @@ func sharedFuncs(prog *Program) map[*types.Func]bool {
 				if shared[d.Fn] {
 					continue
 				}
-				if returnsDerivedFrom(d, func(call *ast.CallExpr) bool {
+				if returnsTracked(d, sharedTracker(prog, d, func(call *ast.CallExpr) (string, bool) {
 					fn := staticOrIfaceCallee(d.Pkg.Info, call)
-					return fn != nil && shared[fn]
-				}) {
+					return "", fn != nil && shared[fn]
+				})) {
 					shared[d.Fn] = true
 					changed = true
 				}
@@ -239,46 +368,21 @@ func interfaceMethodsWithDirective(prog *Program, directive string) []*types.Fun
 // d returns a value derived from a call matched by isSource — the call
 // itself, or a local tracked back to one.
 func returnsDerivedFrom(d *FuncDecl, isSource func(*ast.CallExpr) bool) bool {
-	info := d.Pkg.Info
-	tracked := trackedVars(d, func(call *ast.CallExpr) (string, bool) {
-		if isSource(call) {
-			return "source", true
-		}
-		return "", false
-	})
+	return returnsTracked(d, track(d, trackSpec{
+		source: func(call *ast.CallExpr) (string, bool) { return "source", isSource(call) },
+		ref:    isRefType,
+	}))
+}
+
+// returnsTracked reports whether any top-level return statement of d
+// returns a value tr tracks.
+func returnsTracked(d *FuncDecl, tr *tracker) bool {
 	found := false
-	var walk func(n ast.Node, inLit bool)
-	walk = func(n ast.Node, inLit bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			if found {
-				return false
-			}
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				walk(n.Body, true)
-				return false
-			case *ast.ReturnStmt:
-				if inLit {
-					return true
-				}
-				for _, res := range n.Results {
-					p := peelRef(info, res)
-					if p.call != nil && isSource(p.call) && isRefType(info.TypeOf(res)) {
-						found = true
-						return false
-					}
-					if v, ok := p.obj.(*types.Var); ok {
-						if _, ok := tracked[v]; ok && isRefType(info.TypeOf(res)) {
-							found = true
-							return false
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	walk(d.Decl.Body, false)
+	forEachReturn(d, func(res ast.Expr) {
+		if !found && tr.spec.ref(tr.info.TypeOf(res)) {
+			_, _, found = tr.root(res)
+		}
+	})
 	return found
 }
 

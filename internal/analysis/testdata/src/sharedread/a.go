@@ -147,3 +147,139 @@ func badDerived() {
 	p := viaHelper("x")
 	p["a"] = 1 // want: derived producer
 }
+
+// vec is a dense prediction: a struct holding a score slice. Copies of
+// a vec share the slice, so a copy of a shared vec is the shared value.
+type vec struct {
+	labels []string
+	scores []float64
+}
+
+var canonicalVec = vec{labels: []string{"a", "b"}, scores: []float64{0.5, 0.5}}
+
+// cachedVec returns the shared canonical vector.
+//
+// lint:shared
+func cachedVec(key string) vec {
+	return canonicalVec
+}
+
+// Scores hands out the vector's own slice.
+func (v vec) Scores() []float64 { return v.scores }
+
+// Normalize rescales the scores in place through its value receiver.
+func (v vec) Normalize() vec {
+	s := v.scores
+	for i := range s {
+		s[i] /= 2
+	}
+	return v
+}
+
+// Set writes one score through its value receiver.
+func (v vec) Set(i int, x float64) { v.scores[i] = x }
+
+// Clone copies the scores: its result is a fresh vector.
+func (v vec) Clone() vec {
+	return vec{labels: v.labels, scores: append([]float64(nil), v.scores...)}
+}
+
+// Best only reads.
+func (v vec) Best() float64 {
+	best := 0.0
+	for _, s := range v.scores {
+		if s > best {
+			best = s
+		}
+	}
+	return best
+}
+
+// badVecMethod mutates the shared vector through a value-receiver
+// method that writes through the slice.
+func badVecMethod() {
+	v := cachedVec("x")
+	v.Normalize() // want: value receiver writes the shared scores
+	v.Set(0, 1)   // want: likewise
+}
+
+// badVecAccessor writes through the slice an accessor hands out.
+func badVecAccessor() {
+	v := cachedVec("x")
+	s := v.Scores()
+	s[0] = 1 // want: accessor result is the shared slice
+}
+
+// badVecChain writes through a call chain with no local at all.
+func badVecChain() {
+	cachedVec("x").Scores()[0] = 1              // want: call-rooted write
+	copy(cachedVec("x").Scores(), []float64{1}) // want: copy into the shared slice
+	cachedVec("x").Normalize().Set(1, 0)        // want: Normalize, then Set on its result
+}
+
+// badVecStored keeps shared vectors in a slice, as the stacker does.
+func badVecStored() {
+	preds := make([]vec, 1)
+	preds[0] = cachedVec("x")
+	preds[0].Scores()[1] = 0 // want: element's accessor
+}
+
+// vecHelper forwards an accessor over a shared vector, so it is shared.
+func vecHelper() []float64 {
+	return cachedVec("x").Scores()
+}
+
+// badVecDerived writes through the derived helper's result.
+func badVecDerived() {
+	vecHelper()[0] = 1 // want: derived producer through an accessor
+}
+
+// goodVecClone mutates a clone (true negative).
+func goodVecClone() vec {
+	v := cachedVec("x").Clone()
+	v.Normalize()
+	v.Scores()[0] = 1
+	return v
+}
+
+// goodVecRead only reads (true negative).
+func goodVecRead() float64 {
+	v := cachedVec("x")
+	return v.Best() + v.Scores()[0]
+}
+
+// vecPredictor hands out shared vectors through an interface method,
+// as learn.Learner.Predict does.
+type vecPredictor interface {
+	// Predict returns the shared cached vector for key.
+	//
+	// lint:shared
+	Predict(key string) vec
+}
+
+// badVecIface normalizes a vector obtained through the interface.
+func badVecIface(pr vecPredictor) {
+	p := pr.Predict("x")
+	p.Normalize() // want: interface contract on a struct value
+}
+
+// normalizedHelper forwards a shared vector after normalizing it in
+// place. It is shared by derivation but does not own the storage, so
+// its own body is checked like any caller's.
+func normalizedHelper() vec {
+	v := cachedVec("x")
+	v.Normalize() // want: a forwarding helper's write
+	return v
+}
+
+// normalizeCopy normalizes a copy of its argument: the copy shares the
+// argument's scores, so the summary records a write through v.
+func normalizeCopy(v vec) {
+	w := v
+	w.Normalize()
+}
+
+// badVecViaCopy hands a shared vector to normalizeCopy.
+func badVecViaCopy() {
+	normalizeCopy(cachedVec("x")) // want: callee mutates through a struct copy
+}

@@ -51,7 +51,10 @@ func hash(s string) uint32 {
 
 // Get returns the value stored for key, if any. An old-generation hit
 // is promoted into the current generation under the same critical
-// section as the lookup.
+// section as the lookup. Every hit of a key returns the one stored
+// value, so callers only read it.
+//
+// lint:shared
 func (t *Table[V]) Get(key string) (V, bool) {
 	if t == nil {
 		var zero V
