@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
+	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/eval"
@@ -22,11 +24,15 @@ import (
 
 // microIters fixes the iteration count per micro-bench op.
 var microIters = map[string]int{
-	"Train":                 3,
-	"Match":                 10,
-	"NaiveBayesPredict":     4000,
-	"NameMatcherPredict":    4000,
-	"ContentMatcherPredict": 4000,
+	"Train":                         3,
+	"Match":                         10,
+	"NaiveBayesPredict":             4000,
+	"NameMatcherPredict":            4000,
+	"ContentMatcherPredict":         4000,
+	"ConstraintRun/RealEstateI":     200,
+	"ConstraintRun/TimeSchedule":    100,
+	"ConstraintRun/FacultyListings": 300,
+	"ConstraintRun/RealEstateII":    40,
 }
 
 // measureMicro times n iterations of fn and records ns/op, allocs/op,
@@ -136,7 +142,51 @@ func runMicro() ([]benchRecord, error) {
 			i++
 		}))
 	}
+
+	// The constraint handler alone, per domain, on BenchmarkConstraintRun's
+	// fixture: a held-out source's tag predictions and constraint source.
+	for _, d := range datagen.Domains() {
+		op := "ConstraintRun/" + strings.ReplaceAll(d.Name, " ", "")
+		h, src, preds, err := microConstraintSetup(d)
+		if err != nil {
+			return nil, err
+		}
+		records = append(records, measureMicro(op, microIters[op], func() {
+			if _, err := h.Run(src, preds); err != nil {
+				panic(err)
+			}
+		}))
+	}
 	return records, nil
+}
+
+// microConstraintSetup trains d on sources 1–3 (40 listings, seed 1),
+// matches source 4 and returns the handler over d's constraints with
+// that source's constraint view and tag predictions, exactly like
+// BenchmarkConstraintRun in bench_test.go.
+func microConstraintSetup(d *datagen.Domain) (*constraint.Handler, *constraint.Source, map[string]learn.Prediction, error) {
+	med := d.Mediated()
+	specs := d.Sources()
+	var train []*core.Source
+	for _, spec := range specs[:3] {
+		train = append(train, spec.Generate(40, 1))
+	}
+	cfg := core.DefaultConfig()
+	cfg.Workers = 1
+	sys, err := core.Train(med, train, cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	test := specs[3].Generate(40, 1)
+	res, err := sys.Match(context.Background(), test)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cols, err := core.CollectColumns(context.Background(), nil, test, 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return constraint.NewHandler(med.Constraints...), core.BuildConstraintSource(test, cols, 0), res.TagPredictions, nil
 }
 
 func micro() []benchRecord {
@@ -145,9 +195,9 @@ func micro() []benchRecord {
 		panic(fmt.Sprintf("micro benches: %v", err))
 	}
 	fmt.Println("micro-benchmarks (fixed iteration counts, serial):")
-	fmt.Printf("%-24s %14s %12s %12s\n", "op", "ns/op", "allocs/op", "bytes/op")
+	fmt.Printf("%-30s %14s %12s %12s\n", "op", "ns/op", "allocs/op", "bytes/op")
 	for _, r := range records {
-		fmt.Printf("%-24s %14d %12d %12d\n", r.Op, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
+		fmt.Printf("%-30s %14d %12d %12d\n", r.Op, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
 	}
 	fmt.Println()
 	return records
@@ -163,12 +213,17 @@ const (
 )
 
 // smokeOps are the ops the bench-smoke gate compares: the predict
-// micro-benches, whose fixed-N allocation counts are stable enough to
-// gate on. Train/Match are recorded but informational.
+// micro-benches and the per-domain constraint-handler runs, whose
+// fixed-N allocation counts are stable enough to gate on. Train/Match
+// are recorded but informational.
 var smokeOps = map[string]bool{
-	"NaiveBayesPredict":     true,
-	"NameMatcherPredict":    true,
-	"ContentMatcherPredict": true,
+	"NaiveBayesPredict":             true,
+	"NameMatcherPredict":            true,
+	"ContentMatcherPredict":         true,
+	"ConstraintRun/RealEstateI":     true,
+	"ConstraintRun/TimeSchedule":    true,
+	"ConstraintRun/FacultyListings": true,
+	"ConstraintRun/RealEstateII":    true,
 }
 
 // benchSmoke compares fresh micro-bench records against the latest

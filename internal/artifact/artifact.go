@@ -430,6 +430,10 @@ func decodeMediated(r *reader, st *core.SystemState) {
 		s.Min = int(r.varint())
 		s.Max = int(r.varint())
 		s.Weight = r.f64()
+		// Refuse here what the model could not rebuild on load.
+		if _, err := constraint.FromSpec(s); err != nil && !r.failed() {
+			r.fail("%v", err)
+		}
 		st.ConstraintSpecs = append(st.ConstraintSpecs, s)
 	}
 	st.DroppedConstraints = int(r.varint())

@@ -539,6 +539,28 @@ func TestEncodeRejectsOpaqueConstraint(t *testing.T) {
 	}
 }
 
+// emptyLabelArtifact encodes the fixture with one more constraint spec,
+// a frequency bound on the empty label.
+func emptyLabelArtifact(t testing.TB) []byte {
+	st := fixtureState(t)
+	st.ConstraintSpecs = append(st.ConstraintSpecs, constraint.Spec{
+		Kind: constraint.KindFrequency, Hard: true, Labels: []string{""}, Max: 1})
+	data, err := Encode("empty-label", st)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	return data
+}
+
+// TestDecodeRefusesEmptyLabel: an artifact whose constraint names the
+// empty label does not decode.
+func TestDecodeRefusesEmptyLabel(t *testing.T) {
+	_, err := Decode(emptyLabelArtifact(t))
+	if err == nil || !strings.Contains(err.Error(), "empty label") {
+		t.Fatalf("Decode = %v, want an empty-label error", err)
+	}
+}
+
 // TestGolden pins the wire format: a fixture artifact must decode from
 // (and re-encode to) the exact bytes committed in testdata. Run with
 // -update to regenerate after an intentional format change.

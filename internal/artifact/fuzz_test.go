@@ -31,6 +31,8 @@ func FuzzArtifactDecode(f *testing.F) {
 	w.uvarint(0)
 	w.u8('E')
 	f.Add(reseal(w.buf))
+	// A well-formed artifact whose constraint names the empty label.
+	f.Add(emptyLabelArtifact(f))
 	// Corrupt-but-sealed inputs reach past the checksum gate.
 	flipped := flipBit(valid, len(valid)/3)
 	f.Add(reseal(flipped[:len(flipped)-checksumSize]))

@@ -13,21 +13,15 @@
 // expressed as additional constraints scoped to the current source.
 package constraint
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"repro/internal/dtd"
-	"repro/internal/learn"
-)
+import "repro/internal/dtd"
 
 // Source bundles everything a constraint can inspect about the target
 // source: its schema and the data extracted from it.
 type Source struct {
 	// Schema is the source DTD.
 	Schema *dtd.Schema
-	// Tags are the source-schema tags being mapped, in schema order.
+	// Tags are the source-schema tags being mapped, in schema order,
+	// each once.
 	Tags []string
 	// Columns maps each source tag to the data values extracted for it.
 	Columns map[string][]string
@@ -60,9 +54,8 @@ func (m Assignment) TagsFor(src *Source, label string) []string {
 }
 
 // CountTagsFor returns how many source tags are mapped to label,
-// without materializing the tag list. Constraints that only need
-// existence or cardinality call this in the inner loop of the
-// relaxation search, where TagsFor's slice would be pure garbage.
+// without materializing the tag list: what a custom constraint that
+// only needs cardinality (AtMostSoft's predicate) calls.
 func (m Assignment) CountTagsFor(src *Source, label string) int {
 	n := 0
 	for _, tag := range src.Tags {
@@ -95,71 +88,4 @@ type Constraint interface {
 	// (e.g. equality feedback). The A* handler uses this to re-evaluate
 	// only the constraints affected by each new assignment.
 	Labels() []string
-}
-
-// Cost evaluates Σ λᵢ·cost(m, Tᵢ) over the constraints; math.Inf(1) if
-// a hard constraint is violated.
-func Cost(constraints []Constraint, src *Source, m Assignment, complete bool) float64 {
-	total := 0.0
-	for _, c := range constraints {
-		v := c.Violations(src, m, complete)
-		if v <= 0 {
-			continue
-		}
-		if c.Hard() {
-			return math.Inf(1)
-		}
-		total += c.Weight() * v
-	}
-	return total
-}
-
-// ProbCost returns −log prob(m) for the assigned tags, where prob is
-// the product of the converter scores of the assigned labels.
-// Scores are floored at a small ε so a zero score penalizes heavily but
-// remains finite, keeping A* able to compare mappings.
-func ProbCost(preds map[string]learn.Prediction, m Assignment) float64 {
-	const eps = 1e-6
-	// Sum in sorted tag order, not map order: float addition is not
-	// associative, so a map-order sum would give A* node costs that
-	// differ in the last bits between runs and could flip tie-breaks.
-	tags := make([]string, 0, len(m))
-	for tag := range m {
-		tags = append(tags, tag)
-	}
-	sort.Strings(tags)
-	cost := 0.0
-	for _, tag := range tags {
-		s := preds[tag].Score(m[tag])
-		if s < eps {
-			s = eps
-		}
-		cost -= math.Log(s)
-	}
-	return cost
-}
-
-// Violation describes one violated constraint for reporting.
-type Violation struct {
-	Constraint Constraint
-	Degree     float64
-}
-
-// Explain lists the constraints m violates, for user-facing reports.
-func Explain(constraints []Constraint, src *Source, m Assignment) []Violation {
-	var out []Violation
-	for _, c := range constraints {
-		if v := c.Violations(src, m, true); v > 0 {
-			out = append(out, Violation{c, v})
-		}
-	}
-	return out
-}
-
-func (v Violation) String() string {
-	kind := "soft"
-	if v.Constraint.Hard() {
-		kind = "hard"
-	}
-	return fmt.Sprintf("%s (%s, degree %.2f)", v.Constraint.Name(), kind, v.Degree)
 }

@@ -3,11 +3,18 @@ package constraint
 import "repro/internal/learn"
 
 // Repair runs the handler's repair pass on m in place, over the tag
-// order and candidate lists Run would use, and returns its cost.
+// order and candidate lists Run would use, and returns its cost. m
+// must map every tag of src.Tags.
 func (h *Handler) Repair(src *Source, preds map[string]learn.Prediction, m Assignment) float64 {
 	order := h.tagOrder(src)
 	cands := h.candidates(src, order, preds)
-	return h.repair(src, preds, order, cands, indexConstraints(h.Constraints), m)
+	r := newRun(src, h.Constraints, preds, cands, m)
+	a := r.assignmentOf(m)
+	cost := h.repair(r, r.tagIDs(order), cands, a)
+	for _, t := range r.tagIDs(order) {
+		m[r.tags[t]] = r.labels[a.of[t]]
+	}
+	return cost
 }
 
 // OracleRepair is Repair with the full-recompute reference repair.
@@ -30,3 +37,38 @@ func (h *Handler) Candidates(src *Source, preds map[string]learn.Prediction) map
 
 // PredOf is predOf for the external tests.
 var PredOf = predOf
+
+// RefViolations is the map reference's violation degree.
+var RefViolations = refViolations
+
+// Numbered is a run numbered as Run numbers one, plus the tags and
+// labels of a start mapping, and an assignment over it.
+type Numbered struct {
+	r *run
+	a *assignment
+}
+
+// Number numbers a run over h's constraints, the candidates Run would
+// give preds, and start, and returns start in its ids.
+func (h *Handler) Number(src *Source, preds map[string]learn.Prediction, start Assignment) *Numbered {
+	order := h.tagOrder(src)
+	r := newRun(src, h.Constraints, preds, h.candidates(src, order, preds), start)
+	return &Numbered{r, r.assignmentOf(start)}
+}
+
+// Tags returns the numbered tags and Labels the numbered labels.
+func (n *Numbered) Tags() []string   { return n.r.tags }
+func (n *Numbered) Labels() []string { return n.r.labels }
+
+// Set assigns the i-th numbered tag the l-th numbered label, or
+// unassigns it when l is -1.
+func (n *Numbered) Set(i, l int) { n.a.set(int32(i), int32(l)) }
+
+// Violations returns each constraint's id-evaluated violation degree.
+func (n *Numbered) Violations(complete bool) []float64 {
+	out := make([]float64, len(n.r.cons))
+	for k := range out {
+		out[k] = n.r.violations(k, n.a, complete)
+	}
+	return out
+}

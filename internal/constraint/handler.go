@@ -66,29 +66,37 @@ type Result struct {
 // Run finds the best mapping for the source given the converter's
 // per-tag predictions. If every mapping violates a hard constraint it
 // returns the best-scoring mapping ignoring hard constraints, flagged
-// incomplete, so callers always receive a usable mapping.
+// incomplete, so callers always receive a usable mapping. It refuses a
+// constraint that names the empty label and a source that lists a tag
+// twice.
 //
-// States are partial assignments over the structure-ordered tags,
-// stored as compact label-index arrays. Costs are evaluated
-// incrementally: assigning one tag re-evaluates only the constraints
-// whose Labels() mention the new label (plus the global ones), against
-// a scratch Assignment reused across the expansion.
+// Run numbers the source's tags and the labels it can meet once (see
+// run) and searches over ids. States are partial assignments over the
+// structure-ordered tags, stored as compact candidate-index arrays.
+// Costs are evaluated incrementally: assigning one tag re-evaluates
+// only the constraints whose Labels() mention the new label (plus the
+// global ones), against a scratch assignment reused across the
+// expansion.
 func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, error) {
+	order := h.tagOrder(src)
+	cands := h.candidates(src, order, preds)
+	r := newRun(src, h.Constraints, preds, cands, nil)
+	if err := r.refusal(); err != nil {
+		return nil, err
+	}
 	if len(src.Tags) == 0 {
 		return &Result{Mapping: Assignment{}, Complete: true}, nil
 	}
-	order := h.tagOrder(src)
-	cands := h.candidates(src, order, preds)
-	idx := indexConstraints(h.Constraints)
+	ord := r.tagIDs(order)
+	scratch := r.newAssignment(cands, nil)
 
 	// Completion-sensitive constraints (e.g. exactly-one frequency) are
-	// re-checked once when an assignment completes.
-	var completionSensitive []Constraint
-	for _, c := range h.Constraints {
-		// A constraint is completion-sensitive if an empty assignment
-		// violates it only under complete=true.
-		if c.Violations(src, Assignment{}, true) > c.Violations(src, Assignment{}, false) {
-			completionSensitive = append(completionSensitive, c)
+	// re-checked once when an assignment completes: those an empty
+	// assignment violates only under complete=true.
+	var completionSensitive []int
+	for k := range r.cons {
+		if r.violations(k, scratch, true) > r.violations(k, scratch, false) {
+			completionSensitive = append(completionSensitive, k)
 		}
 	}
 
@@ -109,12 +117,12 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 		best[i] = best[i+1] + eps*h.Alpha*negLog(bestScore)
 	}
 
-	materialize := func(labels []int16) Assignment {
-		m := make(Assignment, len(labels))
+	// load makes scratch the assignment of a state's candidate indices.
+	load := func(labels []int16) {
+		scratch.clear()
 		for i, li := range labels {
-			m[order[i]] = cands[i][li].label
+			scratch.set(ord[i], cands[i][li].id)
 		}
-		return m
 	}
 
 	start := &state{f: best[0]}
@@ -122,20 +130,19 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 	heap.Init(pq)
 	expansions := 0
 	var bestPartial *state
-	scratch := Assignment{}
 
 	// Each expansion's candidates share the affected constraints'
 	// violation degrees before the new assignment: before[k] is valid
 	// while beforeAt[k] equals the current expansion count.
-	before := make([]float64, len(h.Constraints))
-	beforeAt := make([]int, len(h.Constraints))
+	before := make([]float64, len(r.cons))
+	beforeAt := make([]int, len(r.cons))
 	for pq.Len() > 0 {
 		cur := heap.Pop(pq).(*state)
 		if cur.idx == len(order) {
-			m := materialize(cur.labels)
-			cost := h.repair(src, preds, order, cands, idx, m)
+			load(cur.labels)
+			cost := h.repair(r, ord, cands, scratch)
 			return &Result{
-				Mapping:    m,
+				Mapping:    r.mapping(scratch),
 				Cost:       cost,
 				Expansions: expansions,
 				Complete:   true,
@@ -150,35 +157,31 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 			bestPartial = cur
 		}
 
-		// Rebuild scratch as the popped state's assignment.
-		clear(scratch)
-		for i, li := range cur.labels {
-			scratch[order[i]] = cands[i][li].label
-		}
-		tag := order[cur.idx]
+		load(cur.labels)
+		tag := ord[cur.idx]
 		complete := cur.idx+1 == len(order)
 
 		for ci, cand := range cands[cur.idx] {
-			scratch[tag] = cand.label
+			scratch.set(tag, cand.id)
 			dCost := 0.0
 			feasible := true
 			// The cost change of adding the assignment: the affected
 			// constraints' violations after minus before. Monotone
 			// constraints make the before-terms cheap to subtract.
 		affected:
-			for _, ks := range [2][]int{idx.byLabel[cand.label], idx.global} {
+			for _, ks := range [2][]int{r.byLabel[cand.id], r.global} {
 				for _, k := range ks {
-					c := h.Constraints[k]
 					if beforeAt[k] != expansions {
-						delete(scratch, tag)
-						before[k] = c.Violations(src, scratch, false)
-						scratch[tag] = cand.label
+						scratch.set(tag, -1)
+						before[k] = r.violations(k, scratch, false)
+						scratch.set(tag, cand.id)
 						beforeAt[k] = expansions
 					}
-					after := c.Violations(src, scratch, false)
+					after := r.violations(k, scratch, false)
 					if after <= before[k] {
 						continue
 					}
+					c := r.cons[k].c
 					if c.Hard() {
 						feasible = false
 						break affected
@@ -187,8 +190,9 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 				}
 			}
 			if feasible && complete {
-				for _, c := range completionSensitive {
-					if v := c.Violations(src, scratch, true); v > 0 {
+				for _, k := range completionSensitive {
+					if v := r.violations(k, scratch, true); v > 0 {
+						c := r.cons[k].c
 						if c.Hard() {
 							feasible = false
 							break
@@ -206,70 +210,33 @@ func (h *Handler) Run(src *Source, preds map[string]learn.Prediction) (*Result, 
 			labels[cur.idx] = int16(ci)
 			heap.Push(pq, &state{labels: labels, idx: cur.idx + 1, g: g, f: g + best[cur.idx+1]})
 		}
-		delete(scratch, tag)
 	}
 
 	// No feasible complete mapping within budget: greedily complete the
 	// deepest partial state, ignoring hard constraints where necessary.
-	m := Assignment{}
+	scratch.clear()
 	if bestPartial != nil {
-		m = materialize(bestPartial.labels)
+		load(bestPartial.labels)
 	}
-	for i, tag := range order {
-		if _, ok := m[tag]; ok {
+	for i, t := range ord {
+		if scratch.of[t] >= 0 {
 			continue
 		}
-		bestLabel, bestScore := learn.Other, -1.0
+		bestLabel, bestScore := r.other, -1.0
 		for _, cand := range cands[i] {
 			if cand.score > bestScore {
-				bestLabel, bestScore = cand.label, cand.score
+				bestLabel, bestScore = cand.id, cand.score
 			}
 		}
-		m[tag] = bestLabel
+		scratch.set(t, bestLabel)
 	}
-	cost := h.repair(src, preds, order, cands, idx, m)
+	cost := h.repair(r, ord, cands, scratch)
 	return &Result{
-		Mapping:    m,
+		Mapping:    r.mapping(scratch),
 		Cost:       cost,
 		Expansions: expansions,
 		Complete:   false,
 	}, nil
-}
-
-// constraintIndex maps each label to the constraints whose Labels()
-// name it, as positions in Handler.Constraints in ascending order (a
-// constraint naming a label twice is listed twice). Global constraints,
-// whose Labels() is nil, react to any assignment. A* and repair share
-// one index per run.
-type constraintIndex struct {
-	byLabel map[string][]int
-	global  []int
-}
-
-func indexConstraints(cs []Constraint) constraintIndex {
-	idx := constraintIndex{byLabel: make(map[string][]int)}
-	for k, c := range cs {
-		ls := c.Labels()
-		if ls == nil {
-			idx.global = append(idx.global, k)
-			continue
-		}
-		for _, l := range ls {
-			idx.byLabel[l] = append(idx.byLabel[l], k)
-		}
-	}
-	return idx
-}
-
-// affected returns, in dst's storage, the positions of the constraints
-// a move between labels a and b can change: those indexed under a or
-// b, plus the global ones, each once.
-func (idx constraintIndex) affected(dst []int, a, b string) []int {
-	out := append(dst[:0], idx.byLabel[a]...)
-	out = append(out, idx.byLabel[b]...)
-	out = append(out, idx.global...)
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 // repair hill-climbs a complete mapping: single-tag reassignments and
@@ -278,7 +245,7 @@ func (idx constraintIndex) affected(dst []int, a, b string) []int {
 // tag early and push the right tag to a lesser choice ("steal chains");
 // a swap move repairs exactly that in one step, where single
 // reassignments would have to pass through a hard frequency violation.
-// The mapping, which must assign every tag in order, is repaired in
+// The assignment, which must assign every tag of ord, is repaired in
 // place; the final cost is returned.
 //
 // Every move is screened before it is costed in full: while the
@@ -290,43 +257,41 @@ func (idx constraintIndex) affected(dst []int, a, b string) []int {
 // full (DESIGN.md, "Weighted A* + local repair").
 //
 // lint:hot
-func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
-	order []string, cands [][]candidate, idx constraintIndex, m Assignment) float64 {
-
+func (h *Handler) repair(r *run, ord []int32, cands [][]candidate, m *assignment) float64 {
 	total := func() float64 {
-		cc := Cost(h.Constraints, src, m, true)
+		cc := r.cost(m)
 		if math.IsInf(cc, 1) {
 			return cc
 		}
-		return h.Alpha*ProbCost(preds, m) + cc
+		return h.Alpha*r.probCost(m) + cc
 	}
 	cur := total()
 
 	// The screen's view of the current mapping, kept while cur is
-	// finite: deg[k] is Constraints[k]'s complete-assignment violation
-	// degree and term[i] the −log score of order[i]'s label. moved and
+	// finite: deg[k] is constraint k's complete-assignment violation
+	// degree and term[i] the −log score of ord[i]'s label. moved and
 	// after hold the move under test's affected constraints and their
 	// degrees with the move applied.
-	deg := make([]float64, len(h.Constraints))
-	after := make([]float64, len(h.Constraints))
-	moved := make([]int, 0, len(h.Constraints))
-	term := make([]float64, len(order))
+	deg := make([]float64, len(r.cons))
+	after := make([]float64, len(r.cons))
+	moved := make([]int, 0, len(r.cons))
+	term := make([]float64, len(ord))
 	reset := func() {
-		for k, c := range h.Constraints {
-			deg[k] = c.Violations(src, m, true)
+		for k := range r.cons {
+			deg[k] = r.violations(k, m, true)
 		}
-		for i, tag := range order {
-			term[i] = negLog(preds[tag].Score(m[tag]))
+		for i, t := range ord {
+			term[i] = negLog(r.score(t, m.of[t]))
 		}
 	}
 	if !math.IsInf(cur, 1) {
 		reset()
 	}
 
-	// try decides a move already applied to m that takes order[i] from
-	// label a to b and, for a swap (j ≥ 0), order[j] from b to a. It
+	// try decides a move already applied to m that takes ord[i] from
+	// label a to b and, for a swap (j ≥ 0), ord[j] from b to a. It
 	// reports whether the move lowers the cost, updating cur if so.
-	try := func(i, j int, a, b string) bool {
+	try := func(i, j int, a, b int32) bool {
 		if math.IsInf(cur, 1) {
 			// The greedy fallback can start infeasible; with no finite
 			// cost to screen against, every move is costed in full
@@ -339,11 +304,11 @@ func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
 			reset()
 			return true
 		}
-		moved = idx.affected(moved, a, b)
+		moved = r.affected(moved, a, b)
 		d := 0.0
 		for _, k := range moved {
-			c := h.Constraints[k]
-			v := c.Violations(src, m, true)
+			c := r.cons[k].c
+			v := r.violations(k, m, true)
 			after[k] = v
 			if c.Hard() {
 				if v > 0 {
@@ -358,10 +323,10 @@ func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
 				d -= c.Weight() * deg[k]
 			}
 		}
-		ti, tj := negLog(preds[order[i]].Score(b)), 0.0
+		ti, tj := negLog(r.score(ord[i], b)), 0.0
 		d += h.Alpha * (ti - term[i])
 		if j >= 0 {
-			tj = negLog(preds[order[j]].Score(a))
+			tj = negLog(r.score(ord[j], a))
 			d += h.Alpha * (tj - term[j])
 		}
 		// d is the change the full test below would see, up to
@@ -392,34 +357,33 @@ func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
 	for pass := 0; pass < 10; pass++ {
 		improved := false
 		// Single reassignments.
-		for i, tag := range order {
-			was := m[tag]
+		for i, t := range ord {
+			was := m.of[t]
 			for _, cand := range cands[i] {
-				if cand.label == was {
+				if cand.id == was {
 					continue
 				}
-				m[tag] = cand.label
-				if try(i, -1, was, cand.label) {
-					was, improved = cand.label, true
+				m.set(t, cand.id)
+				if try(i, -1, was, cand.id) {
+					was, improved = cand.id, true
 				} else {
-					m[tag] = was
+					m.set(t, was)
 				}
 			}
-			m[tag] = was
 		}
 		// Pairwise swaps.
-		for i := 0; i < len(order); i++ {
-			for j := i + 1; j < len(order); j++ {
-				ti, tj := order[i], order[j]
-				a, b := m[ti], m[tj]
+		for i := 0; i < len(ord); i++ {
+			for j := i + 1; j < len(ord); j++ {
+				ti, tj := ord[i], ord[j]
+				a, b := m.of[ti], m.of[tj]
 				if a == b {
 					continue
 				}
-				m[ti], m[tj] = b, a
+				m.swap(ti, tj)
 				if try(i, j, a, b) {
 					improved = true
 				} else {
-					m[ti], m[tj] = a, b
+					m.swap(ti, tj)
 				}
 			}
 		}
@@ -429,20 +393,9 @@ func (h *Handler) repair(src *Source, preds map[string]learn.Prediction,
 	}
 	if math.IsInf(cur, 1) {
 		// The greedy fallback can be infeasible; report its soft cost.
-		return h.Alpha*ProbCost(preds, m) + softOnlyCost(h.Constraints, src, m)
+		return h.Alpha*r.probCost(m) + r.softCost(m)
 	}
 	return cur
-}
-
-func softOnlyCost(constraints []Constraint, src *Source, m Assignment) float64 {
-	total := 0.0
-	for _, c := range constraints {
-		if c.Hard() {
-			continue
-		}
-		total += c.Weight() * c.Violations(src, m, true)
-	}
-	return total
 }
 
 // GreedyRun assigns every tag its highest-scoring label with no search;
@@ -505,9 +458,12 @@ func (h *Handler) tagOrder(src *Source) []string {
 	return out
 }
 
+// candidate is a label A* may assign a tag, with the tag's score for
+// it; id is the label's id, filled in when a run numbers the labels.
 type candidate struct {
 	label string
 	score float64
+	id    int32
 }
 
 // candidates returns, per ordered tag, the labels A* may assign it.
@@ -526,7 +482,7 @@ func (h *Handler) candidates(src *Source, order []string, preds map[string]learn
 		labels, scores := p.Labels(), p.Scores()
 		cs := make([]candidate, 0, p.Len()+2)
 		for _, id := range labels.Sorted() {
-			cs = append(cs, candidate{labels.Name(id), scores[id]})
+			cs = append(cs, candidate{label: labels.Name(id), score: scores[id]})
 		}
 		slices.SortStableFunc(cs, byScoreDesc)
 		if h.TopK > 0 && len(cs) > h.TopK {
@@ -534,12 +490,12 @@ func (h *Handler) candidates(src *Source, order []string, preds map[string]learn
 		}
 		// OTHER must always be available as an escape hatch.
 		if !containsLabel(cs, learn.Other) {
-			cs = append(cs, candidate{learn.Other, p.Score(learn.Other)})
+			cs = append(cs, candidate{label: learn.Other, score: p.Score(learn.Other)})
 		}
 		// A feedback-forced label must be a candidate or the search
 		// would be infeasible by construction.
 		if l, ok := forced[tag]; ok && !containsLabel(cs, l) {
-			cs = append(cs, candidate{l, p.Score(l)})
+			cs = append(cs, candidate{label: l, score: p.Score(l)})
 		}
 		out[i] = cs
 	}

@@ -9,15 +9,39 @@ import (
 	"repro/internal/learn"
 )
 
+// neverBoth is a user constraint the package cannot see inside: no two
+// tags may match a and b at once. It reads the Assignment map.
+type neverBoth struct{ a, b string }
+
+func (n neverBoth) Name() string     { return "user: " + n.a + " and " + n.b + " are never both matched" }
+func (n neverBoth) Hard() bool       { return true }
+func (n neverBoth) Weight() float64  { return 1 }
+func (n neverBoth) Labels() []string { return []string{n.a, n.b} }
+func (n neverBoth) Violations(_ *Source, m Assignment, _ bool) float64 {
+	var hasA, hasB bool
+	for _, l := range m {
+		hasA, hasB = hasA || l == n.a, hasB || l == n.b
+	}
+	if hasA && hasB {
+		return 1
+	}
+	return 0
+}
+
 // TestHandlerPropertyRandomInstances: on random small problems with
-// at-most-one constraints everywhere, the handler must (a) return a
-// complete feasible mapping, (b) stay within the ε suboptimality bound
-// of weighted A*, and (c) find the exact optimum when run with ε = 1.
+// at-most-one constraints everywhere, a soft BinarySoft closure and a
+// user constraint, the handler must (a) return a complete feasible
+// mapping, (b) stay within the ε suboptimality bound of weighted A*,
+// and (c) find the exact optimum when run with ε = 1.
 func TestHandlerPropertyRandomInstances(t *testing.T) {
 	labels := []string{"L1", "L2", "L3", learn.Other}
 	src := testSource()
 	src.Tags = []string{"beds", "baths", "name"}
-	cons := []Constraint{AtMostOne("L1"), AtMostOne("L2"), AtMostOne("L3")}
+	cons := []Constraint{AtMostOne("L1"), AtMostOne("L2"), AtMostOne("L3"),
+		BinarySoft("beds prefers not L3", 0.7, []string{"L3"},
+			func(_ *Source, m Assignment, _ bool) bool { return m["beds"] == "L3" }),
+		neverBoth{"L1", "L2"},
+	}
 
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -3,6 +3,7 @@ package constraint
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/learn"
@@ -266,3 +267,40 @@ func TestAStarOptimalMatchesExhaustive(t *testing.T) {
 			res.Cost, bestCost, res.Mapping, bestM)
 	}
 }
+
+// TestRunRefusesEmptyLabel: only map semantics give the empty label a
+// meaning (every unassigned tag "matches" it), so Run refuses a
+// constraint that names it, built-in or not, even on an empty source.
+func TestRunRefusesEmptyLabel(t *testing.T) {
+	src := testSource()
+	preds := map[string]learn.Prediction{"beds": predOf(map[string]float64{"BEDS": 1})}
+	for _, c := range []Constraint{
+		Contiguous("BEDS", ""), AtMostOne(""), MustMatch("beds", ""),
+		AtMostSoft("", 1, 1), opaqueLabels{""},
+	} {
+		if _, err := NewHandler(c).Run(src, preds); err == nil || !strings.Contains(err.Error(), "empty label") {
+			t.Errorf("Run with %s: err = %v, want an empty-label refusal", c.Name(), err)
+		}
+		if _, err := NewHandler(c).Run(&Source{}, nil); err == nil {
+			t.Errorf("Run on an empty source with %s: no refusal", c.Name())
+		}
+	}
+}
+
+// TestRunRefusesRepeatedTag: a source lists each tag once.
+func TestRunRefusesRepeatedTag(t *testing.T) {
+	src := testSource()
+	src.Tags = append(src.Tags, "beds")
+	if _, err := NewHandler().Run(src, nil); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("Run err = %v, want a repeated-tag refusal", err)
+	}
+}
+
+// opaqueLabels is a user constraint that only names labels.
+type opaqueLabels []string
+
+func (o opaqueLabels) Name() string                               { return "names " + strings.Join(o, ",") }
+func (opaqueLabels) Hard() bool                                   { return false }
+func (opaqueLabels) Weight() float64                              { return 1 }
+func (opaqueLabels) Violations(*Source, Assignment, bool) float64 { return 0 }
+func (o opaqueLabels) Labels() []string                           { return o }

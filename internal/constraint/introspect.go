@@ -105,8 +105,14 @@ func Describe(c Constraint) Spec {
 // Two kinds cannot come back: KindOpaque (user-defined implementations
 // the package cannot see inside) and KindBinarySoft (its violation
 // predicate is an arbitrary closure). Both return an error; callers
-// decide whether a lossy save is acceptable.
+// decide whether a lossy save is acceptable. A spec naming the empty
+// label is refused too: the handler would refuse the constraint.
 func FromSpec(s Spec) (Constraint, error) {
+	for _, l := range s.Labels {
+		if l == "" {
+			return nil, fmt.Errorf("constraint: spec kind %d names the empty label", s.Kind)
+		}
+	}
 	need := func(n int) error {
 		if len(s.Labels) != n {
 			return fmt.Errorf("constraint: spec kind %d wants %d labels, has %d", s.Kind, n, len(s.Labels))

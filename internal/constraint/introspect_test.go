@@ -48,3 +48,26 @@ func TestDescribeOpaque(t *testing.T) {
 		t.Errorf("Describe(opaque) = %+v, want KindOpaque hard with labels [X]", got)
 	}
 }
+
+// TestFromSpecRefusesEmptyLabel: no kind rebuilds a constraint naming
+// the empty label, wherever the label sits.
+func TestFromSpecRefusesEmptyLabel(t *testing.T) {
+	for _, c := range []Constraint{
+		ExactlyOne("A"), NestedIn("A", "B"), NotNestedIn("A", "B"), Contiguous("A", "B"),
+		Exclusive("A", "B"), Key("A"), FunctionalDep([]string{"A", "B"}, "C"), LeafLabel("A"),
+		NonLeafLabel("A"), MustMatch("t", "A"), MustNotMatch("t", "A"), Near("A", "B", 1),
+	} {
+		spec := Describe(c)
+		for i := range spec.Labels {
+			bad := spec
+			bad.Labels = append([]string{}, spec.Labels...)
+			bad.Labels[i] = ""
+			if _, err := FromSpec(bad); err == nil {
+				t.Errorf("FromSpec(%+v) accepted the empty label", bad)
+			}
+		}
+		if _, err := FromSpec(spec); err != nil {
+			t.Errorf("FromSpec(%+v): %v", spec, err)
+		}
+	}
+}

@@ -34,17 +34,17 @@ func (h *Handler) mapCandidates(order []string, preds map[string]map[string]floa
 		sort.Strings(labels)
 		cs := make([]candidate, 0, len(labels))
 		for _, l := range labels {
-			cs = append(cs, candidate{l, p[l]})
+			cs = append(cs, candidate{label: l, score: p[l]})
 		}
 		sort.SliceStable(cs, func(a, b int) bool { return cs[a].score > cs[b].score })
 		if h.TopK > 0 && len(cs) > h.TopK {
 			cs = cs[:h.TopK]
 		}
 		if !containsLabel(cs, learn.Other) {
-			cs = append(cs, candidate{learn.Other, p[learn.Other]})
+			cs = append(cs, candidate{label: learn.Other, score: p[learn.Other]})
 		}
 		if l, ok := forced[tag]; ok && !containsLabel(cs, l) {
-			cs = append(cs, candidate{l, p[l]})
+			cs = append(cs, candidate{label: l, score: p[l]})
 		}
 		out[i] = cs
 	}
@@ -141,9 +141,13 @@ func TestProbCostMatchesMapReference(t *testing.T) {
 					m[tag] = names[rng.Intn(n)]
 				}
 			}
-			got, want := ProbCost(preds, m), mapProbCost(refs, m)
-			if math.Float64bits(got) != math.Float64bits(want) {
+			want := mapProbCost(refs, m)
+			if got := ProbCost(preds, m); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("n=%d: ProbCost = %.17g, reference %.17g", n, got, want)
+			}
+			r := newRun(src, nil, preds, nil, m)
+			if got := r.probCost(r.assignmentOf(m)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d: probCost over ids = %.17g, reference %.17g", n, got, want)
 			}
 		}
 	}

@@ -23,9 +23,7 @@ func TestRepairFixesStealChain(t *testing.T) {
 	// Start from the worst-case steal: beds took BATHS, baths pushed off
 	// to OTHER.
 	m := Assignment{"beds": "BATHS", "baths": learn.Other}
-	order := []string{"beds", "baths"}
-	cands := h.candidates(src, order, preds)
-	cost := h.repair(src, preds, order, cands, indexConstraints(h.Constraints), m)
+	cost := h.Repair(src, preds, m)
 	if m["beds"] != "BEDS" || m["baths"] != "BATHS" {
 		t.Errorf("repair result = %v, want beds=BEDS baths=BATHS", m)
 	}

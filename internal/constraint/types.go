@@ -1,10 +1,6 @@
 package constraint
 
-import (
-	"fmt"
-
-	"repro/internal/learn"
-)
+import "fmt"
 
 // ---------------------------------------------------------------------------
 // Frequency constraints (hard, verified with the schema of the target
@@ -41,12 +37,13 @@ func (f *frequency) Labels() []string { return []string{f.label} }
 func (f *frequency) Weight() float64  { return 1 }
 
 func (f *frequency) Violations(src *Source, m Assignment, complete bool) float64 {
-	n := 0
-	for _, label := range m {
-		if label == f.label {
-			n++
-		}
-	}
+	return adapt(f, src, m, complete)
+}
+
+// violations counts every tag assigned the label, those outside
+// src.Tags included.
+func (f *frequency) violations(_ *run, a *assignment, b *bound, complete bool) float64 {
+	n := len(a.tags[b.labels[0]])
 	if f.max >= 0 && n > f.max {
 		return float64(n - f.max)
 	}
@@ -88,15 +85,19 @@ func (n *nesting) Hard() bool       { return true }
 func (n *nesting) Labels() []string { return []string{n.outer, n.inner} }
 func (n *nesting) Weight() float64  { return 1 }
 
-func (n *nesting) Violations(src *Source, m Assignment, _ bool) float64 {
+func (n *nesting) Violations(src *Source, m Assignment, complete bool) float64 {
+	return adapt(n, src, m, complete)
+}
+
+func (n *nesting) violations(r *run, a *assignment, b *bound, _ bool) float64 {
 	violations := 0
-	inner := m.TagsFor(src, n.inner)
+	inner := a.srcTags(b.labels[1])
 	if len(inner) == 0 {
 		return 0
 	}
-	for _, a := range m.TagsFor(src, n.outer) {
-		for _, b := range inner {
-			nested := src.Schema.CanNest(a, b)
+	for _, x := range a.srcTags(b.labels[0]) {
+		for _, y := range inner {
+			nested := r.canNest(x, y)
 			if n.forbid && nested {
 				violations++
 			}
@@ -130,21 +131,25 @@ func (c *contiguity) Hard() bool       { return true }
 func (c *contiguity) Labels() []string { return nil } // the between-tags check reacts to any label
 func (c *contiguity) Weight() float64  { return 1 }
 
-func (c *contiguity) Violations(src *Source, m Assignment, _ bool) float64 {
+func (c *contiguity) Violations(src *Source, m Assignment, complete bool) float64 {
+	return adapt(c, src, m, complete)
+}
+
+func (c *contiguity) violations(r *run, a *assignment, b *bound, _ bool) float64 {
 	violations := 0
-	tagsB := m.TagsFor(src, c.labelB)
+	tagsB := a.srcTags(b.labels[1])
 	if len(tagsB) == 0 {
 		return 0
 	}
-	for _, a := range m.TagsFor(src, c.labelA) {
-		for _, b := range tagsB {
-			between, siblings := src.Schema.SiblingsBetween(a, b)
-			if !siblings {
+	for _, x := range a.srcTags(b.labels[0]) {
+		for _, y := range tagsB {
+			sib := r.siblings(x, y)
+			if !sib.ok {
 				violations++
 				continue
 			}
-			for _, t := range between {
-				if label, ok := m[t]; ok && label != learn.Other {
+			for _, t := range r.between[sib.from:sib.to] {
+				if l := a.of[t]; l >= 0 && l != r.other {
 					violations++
 				}
 			}
@@ -174,8 +179,12 @@ func (e *exclusivity) Hard() bool       { return true }
 func (e *exclusivity) Labels() []string { return []string{e.labelA, e.labelB} }
 func (e *exclusivity) Weight() float64  { return 1 }
 
-func (e *exclusivity) Violations(src *Source, m Assignment, _ bool) float64 {
-	if m.CountTagsFor(src, e.labelA) > 0 && m.CountTagsFor(src, e.labelB) > 0 {
+func (e *exclusivity) Violations(src *Source, m Assignment, complete bool) float64 {
+	return adapt(e, src, m, complete)
+}
+
+func (e *exclusivity) violations(_ *run, a *assignment, b *bound, _ bool) float64 {
+	if len(a.srcTags(b.labels[0])) > 0 && len(a.srcTags(b.labels[1])) > 0 {
 		return 1
 	}
 	return 0
@@ -202,19 +211,15 @@ func (k *key) Hard() bool       { return true }
 func (k *key) Labels() []string { return []string{k.label} }
 func (k *key) Weight() float64  { return 1 }
 
-func (k *key) Violations(src *Source, m Assignment, _ bool) float64 {
+func (k *key) Violations(src *Source, m Assignment, complete bool) float64 {
+	return adapt(k, src, m, complete)
+}
+
+func (k *key) violations(r *run, a *assignment, b *bound, _ bool) float64 {
 	violations := 0
-	for _, tag := range m.TagsFor(src, k.label) {
-		seen := make(map[string]bool, len(src.Columns[tag]))
-		for _, v := range src.Columns[tag] {
-			if v == "" {
-				continue
-			}
-			if seen[v] {
-				violations++
-				break
-			}
-			seen[v] = true
+	for _, t := range a.srcTags(b.labels[0]) {
+		if r.dupColumn(t) {
+			violations++
 		}
 	}
 	return float64(violations)
@@ -242,24 +247,29 @@ func (f *functionalDep) Labels() []string {
 }
 func (f *functionalDep) Weight() float64 { return 1 }
 
-func (f *functionalDep) Violations(src *Source, m Assignment, _ bool) float64 {
+func (f *functionalDep) Violations(src *Source, m Assignment, complete bool) float64 {
+	return adapt(f, src, m, complete)
+}
+
+func (f *functionalDep) violations(r *run, a *assignment, b *bound, _ bool) float64 {
 	// Resolve each determinant label to a single assigned tag; the
 	// check applies only when every label involved is assigned.
-	detTags := make([]string, 0, len(f.determinants))
-	for _, d := range f.determinants {
-		tags := m.TagsFor(src, d)
+	dets, dependent := b.labels[:len(f.determinants)], b.labels[len(f.determinants)]
+	detTags := make([]string, 0, len(dets))
+	for _, l := range dets {
+		tags := a.srcTags(l)
 		if len(tags) == 0 {
 			return 0
 		}
-		detTags = append(detTags, tags[0])
+		detTags = append(detTags, r.tags[tags[0]])
 	}
-	depTags := m.TagsFor(src, f.dependent)
+	depTags := a.srcTags(dependent)
 	if len(depTags) == 0 {
 		return 0
 	}
-	dep := depTags[0]
+	dep := r.tags[depTags[0]]
 	seen := make(map[string]string)
-	for _, row := range src.Rows {
+	for _, row := range r.src.Rows {
 		keyParts := ""
 		missing := false
 		for _, t := range detTags {
@@ -347,30 +357,23 @@ func (p *proximity) Hard() bool       { return false }
 func (p *proximity) Labels() []string { return []string{p.labelA, p.labelB} }
 func (p *proximity) Weight() float64  { return p.weight }
 
-func (p *proximity) Violations(src *Source, m Assignment, _ bool) float64 {
-	// One pass over the tag order collects both position lists; the
-	// per-call position map this replaces was a hot allocation in the
-	// relaxation search.
-	var bufA, bufB [8]int
-	posA, posB := bufA[:0], bufB[:0]
-	for i, t := range src.Tags {
-		label := m[t]
-		if label == p.labelA {
-			posA = append(posA, i)
-		}
-		if label == p.labelB {
-			posB = append(posB, i)
-		}
-	}
+func (p *proximity) Violations(src *Source, m Assignment, complete bool) float64 {
+	return adapt(p, src, m, complete)
+}
+
+// violations reads positions in src.Tags as tag ids, which number
+// src.Tags in order.
+func (p *proximity) violations(r *run, a *assignment, b *bound, _ bool) float64 {
+	n := r.nSrc
 	total := 0.0
-	for _, a := range posA {
-		for _, b := range posB {
-			d := a - b
+	for _, x := range a.srcTags(b.labels[0]) {
+		for _, y := range a.srcTags(b.labels[1]) {
+			d := int(x) - int(y)
 			if d < 0 {
 				d = -d
 			}
-			if d > 1 && len(src.Tags) > 1 {
-				total += float64(d-1) / float64(len(src.Tags)-1)
+			if d > 1 && n > 1 {
+				total += float64(d-1) / float64(n-1)
 			}
 		}
 	}
@@ -409,11 +412,14 @@ func (l *leafness) Hard() bool       { return true }
 func (l *leafness) Labels() []string { return []string{l.label} }
 func (l *leafness) Weight() float64  { return 1 }
 
-func (l *leafness) Violations(src *Source, m Assignment, _ bool) float64 {
+func (l *leafness) Violations(src *Source, m Assignment, complete bool) float64 {
+	return adapt(l, src, m, complete)
+}
+
+func (l *leafness) violations(r *run, a *assignment, b *bound, _ bool) float64 {
 	violations := 0
-	for _, tag := range m.TagsFor(src, l.label) {
-		isLeaf := src.Schema.IsLeaf(tag)
-		if l.nonLeaf == isLeaf {
+	for _, t := range a.srcTags(b.labels[0]) {
+		if l.nonLeaf == r.isLeaf(t) {
 			violations++
 		}
 	}
@@ -463,18 +469,25 @@ func (u *mustMatch) Hard() bool       { return true }
 func (u *mustMatch) Labels() []string { return nil } // reacts to any assignment of its tag
 func (u *mustMatch) Weight() float64  { return 1 }
 
-func (u *mustMatch) Violations(_ *Source, m Assignment, _ bool) float64 {
-	label, assigned := m[u.tag]
-	if !assigned {
+func (u *mustMatch) Violations(src *Source, m Assignment, complete bool) float64 {
+	return adapt(u, src, m, complete)
+}
+
+func (u *mustMatch) violations(_ *run, a *assignment, b *bound, _ bool) float64 {
+	if b.tag < 0 {
+		return 0
+	}
+	l := a.of[b.tag]
+	if l < 0 {
 		return 0
 	}
 	if u.forbid {
-		if label == u.label {
+		if l == b.labels[0] {
 			return 1
 		}
 		return 0
 	}
-	if label != u.label {
+	if l != b.labels[0] {
 		return 1
 	}
 	return 0

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Occurs is a repetition marker on a content particle.
@@ -154,6 +155,9 @@ type Schema struct {
 	// Declare after that point does not re-elect it.
 	rootOnce sync.Once
 	root     string
+	// sibs is the sibling-order index, built on the first sibling
+	// query and dropped by Declare (see siblings).
+	sibs atomic.Pointer[siblingIndex]
 }
 
 // NewSchema returns an empty schema; elements are added with Declare.
@@ -169,6 +173,7 @@ func (s *Schema) Declare(e *Element) error {
 	}
 	s.elements[e.Name] = e
 	s.order = append(s.order, e.Name)
+	s.sibs.Store(nil)
 	return nil
 }
 
@@ -407,43 +412,86 @@ func (s *Schema) CanNest(ancestor, descendant string) bool {
 
 // Siblings reports whether a and b share a declared parent element.
 func (s *Schema) Siblings(a, b string) bool {
-	for _, name := range s.order {
-		hasA, hasB := false, false
-		for _, c := range s.ChildTags(name) {
-			if c == a {
-				hasA = true
-			}
-			if c == b {
-				hasB = true
-			}
-		}
-		if hasA && hasB {
-			return true
-		}
-	}
-	return false
+	_, _, _, ok := s.siblings().common(a, b)
+	return ok
 }
 
 // SiblingsBetween returns the declared tags strictly between a and b in
 // their common parent's content-model order, or nil (and false) if a
-// and b are not ordered siblings. A child tag is its own sibling with
-// nothing between.
+// and b are not ordered siblings. The common parent is the first
+// declared element listing both. A child tag is its own sibling with
+// nothing between. The returned slice is the caller's.
 func (s *Schema) SiblingsBetween(a, b string) ([]string, bool) {
-	for _, name := range s.order {
-		order := childOrder(s.elements[name])
-		ia, ib := indexOf(order, a), indexOf(order, b)
-		if ia < 0 || ib < 0 {
-			continue
-		}
-		if ia > ib {
-			ia, ib = ib, ia
-		}
-		if ia == ib {
-			return []string{}, true
-		}
-		return append([]string{}, order[ia+1:ib]...), true
+	ix := s.siblings()
+	d, ia, ib, ok := ix.common(a, b)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	if ia > ib {
+		ia, ib = ib, ia
+	}
+	if ia == ib {
+		return []string{}, true
+	}
+	return append([]string{}, ix.orders[d][ia+1:ib]...), true
+}
+
+// siblingIndex is a schema's sibling order, built once: each
+// declaration's child order, and for each tag the declarations that
+// list it, in declaration order, with its first position in each. A
+// sibling query merges two such lists instead of rebuilding every
+// declaration's child order.
+type siblingIndex struct {
+	orders [][]string // childOrder of each declaration, in declaration order
+	at     map[string][]childPos
+}
+
+// childPos places a tag in a declaration's child order.
+type childPos struct{ decl, pos int }
+
+// siblings returns the sibling-order index, building it on first use.
+// It is built lazily rather than by Declare because Parse declares
+// every element before it attaches the ATTLIST attributes, which are
+// children too. Concurrent first readers may each build it; they store
+// equal indexes.
+func (s *Schema) siblings() *siblingIndex {
+	if ix := s.sibs.Load(); ix != nil {
+		return ix
+	}
+	ix := &siblingIndex{
+		orders: make([][]string, len(s.order)),
+		at:     make(map[string][]childPos),
+	}
+	for d, name := range s.order {
+		order := childOrder(s.elements[name])
+		ix.orders[d] = order
+		for p, t := range order {
+			ps := ix.at[t]
+			if n := len(ps); n > 0 && ps[n-1].decl == d {
+				continue // a repeated child keeps its first position
+			}
+			ix.at[t] = append(ps, childPos{d, p})
+		}
+	}
+	s.sibs.Store(ix)
+	return ix
+}
+
+// common returns the first declaration listing both a and b, with
+// their first positions in its child order.
+func (ix *siblingIndex) common(a, b string) (decl, ia, ib int, ok bool) {
+	pa, pb := ix.at[a], ix.at[b]
+	for i, j := 0, 0; i < len(pa) && j < len(pb); {
+		switch {
+		case pa[i].decl < pb[j].decl:
+			i++
+		case pa[i].decl > pb[j].decl:
+			j++
+		default:
+			return pa[i].decl, pa[i].pos, pb[j].pos, true
+		}
+	}
+	return 0, 0, 0, false
 }
 
 // ChildOrder returns the distinct element names that can appear
@@ -485,15 +533,6 @@ func childOrder(e *Element) []string {
 	}
 	out = append(out, e.Attributes...)
 	return out
-}
-
-func indexOf(xs []string, x string) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
 }
 
 // String renders the schema back as DTD text.

@@ -66,6 +66,8 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("IsLeaf(%q) = %v, want %v (children %v)", tag, got, want, s.ChildTags(tag))
 			}
 		}
+		// The sibling-order index must answer like the scan it replaces.
+		checkSiblingIndex(t, s)
 	})
 }
 

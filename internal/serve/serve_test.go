@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/dtd"
 	"repro/internal/modeltest"
@@ -580,5 +581,53 @@ func TestHotReloadServesConsistentSnapshots(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestMatchReportsDegraded: a model whose constraints no mapping of the
+// source can satisfy answers with the handler's greedy fallback and
+// says so, in /v1/match and in each /v1/batch element; an ordinary
+// reply carries no degraded field at all.
+func TestMatchReportsDegraded(t *testing.T) {
+	reg, _, ts := newTestServer(t)
+	st := modeltest.State(t)
+	// The source has three tags; at least four must match PRICE.
+	st.ConstraintSpecs = append(st.ConstraintSpecs, constraint.Describe(constraint.Frequency("PRICE", 4, -1)))
+	data, err := artifact.Encode("strict", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "strict.lsdm")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.LoadFile(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	req := func(model string) MatchRequest {
+		return MatchRequest{Model: model, DTD: modeltest.SourceDTD, XML: modeltest.SourceXML, OmitPredictions: true}
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/match", req("strict"))
+	var got MatchResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &got) != nil {
+		t.Fatalf("strict match: status %d, body %s", resp.StatusCode, body)
+	}
+	if !got.Degraded || len(got.Mapping) != 3 {
+		t.Errorf("strict match = %s, want a degraded three-tag mapping", body)
+	}
+	_, body = postJSON(t, ts.URL+"/v1/match", req("houses"))
+	if bytes.Contains(body, []byte("degraded")) {
+		t.Errorf("ordinary reply mentions degraded: %s", body)
+	}
+
+	_, body = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Requests: []MatchRequest{req("houses"), req("strict")}})
+	var batch BatchResponse
+	if err := json.Unmarshal(body, &batch); err != nil || len(batch.Responses) != 2 {
+		t.Fatalf("batch reply %s: %v", body, err)
+	}
+	if batch.Responses[0].Degraded || !batch.Responses[1].Degraded {
+		t.Errorf("batch degraded flags = %v, %v; want false, true",
+			batch.Responses[0].Degraded, batch.Responses[1].Degraded)
 	}
 }

@@ -76,7 +76,11 @@ type MatchResponse struct {
 	Mapping     map[string]string             `json:"mapping"`
 	Predictions map[string]map[string]float64 `json:"predictions,omitempty"`
 	Partial     map[string]string             `json:"partial,omitempty"`
-	Error       string                        `json:"error,omitempty"`
+	// Degraded reports that the constraint handler ran out of search
+	// budget or found no mapping satisfying every hard constraint, and
+	// answered with its greedy fallback.
+	Degraded bool   `json:"degraded,omitempty"`
+	Error    string `json:"error,omitempty"`
 	// Status carries the per-request HTTP-equivalent code inside batch
 	// replies, where the outer response is 200 even if an element
 	// failed.
@@ -313,6 +317,7 @@ func (s *Server) match(ctx context.Context, req *MatchRequest) (MatchResponse, i
 		SourceName: req.SourceName,
 		Mapping:    res.Mapping,
 		Partial:    res.Partial,
+		Degraded:   res.Handler != nil && !res.Handler.Complete,
 	}
 	if !req.OmitPredictions {
 		resp.Predictions = make(map[string]map[string]float64, len(res.TagPredictions))
