@@ -108,7 +108,7 @@ func TestRunTimedJSON(t *testing.T) {
 		}
 		seen[tm.Check] = true
 	}
-	for _, want := range []string{"maprangefloat", "ctxflow", "goroleak", "errflow"} {
+	for _, want := range []string{"maprangefloat", "confine", "ctxflow", "errflow"} {
 		if !seen[want] {
 			t.Errorf("timings missing analyzer %s (got %v)", want, seen)
 		}

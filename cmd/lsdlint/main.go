@@ -19,7 +19,7 @@
 // -checks selects analyzers by name: a comma-separated list keeps
 // only those analyzers, and !-prefixed names exclude from the full
 // suite instead ("-checks hotalloc,statecodec" or
-// "-checks !lockorder"); an unknown name is a usage error. -timing
+// "-checks !sharedread"); an unknown name is a usage error. -timing
 // prints each analyzer's cumulative wall-clock cost to stderr — or,
 // with -format json, folds it into the output document as a "timings"
 // array plus "total_ms", the shape CI archives beside the SARIF log —

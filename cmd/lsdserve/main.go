@@ -43,6 +43,21 @@ func main() {
 	}
 }
 
+// Connection timeouts for both listeners. ReadHeaderTimeout drops a
+// client that opens a connection and never finishes its headers;
+// IdleTimeout closes keep-alive connections nobody uses. There is no
+// WriteTimeout: it would cut off a long /v1/batch reply or a CPU
+// profile mid-write.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds a listener's server with the timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("lsdserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
@@ -90,7 +105,7 @@ func run(args []string, out *os.File) error {
 		}
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
@@ -110,7 +125,7 @@ func run(args []string, out *os.File) error {
 		dmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		debugSrv := &http.Server{Handler: dmux}
+		debugSrv := newHTTPServer(dmux)
 		debugErrc := make(chan error, 1)
 		go func() { debugErrc <- debugSrv.Serve(dln) }()
 		// The debug server lives and dies with the main server: Close on

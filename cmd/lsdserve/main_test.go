@@ -223,3 +223,24 @@ func TestRunErrors(t *testing.T) {
 		t.Error("run with missing models dir succeeded, want error")
 	}
 }
+
+// TestHTTPServerTimeouts pins the listeners' timeouts: a bounded wait
+// for request headers and for idle keep-alive connections, and no
+// write or whole-request read deadline, which would cut off a long
+// batch.
+func TestHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newHTTPServer(h)
+	if srv.Handler != h {
+		t.Error("server does not serve the given handler")
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v > 0", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v; want neither set", srv.WriteTimeout, srv.ReadTimeout)
+	}
+}

@@ -14,18 +14,18 @@
 //   - seedflow: every rand.NewSource seed is a constant or derived via
 //     learn.DeriveSeed, and no *rand.Rand is captured by a go-launched
 //     function literal.
-//   - guardedby: fields tagged `// guarded by <mutex>` are only
-//     touched while that mutex is held on a syntactic lock path.
+//   - confine: go statements appear only in internal/parallel and in
+//     main packages, and sync.Mutex/RWMutex only in internal/memo,
+//     internal/serve and internal/analysis (concurrency stays in the
+//     packages built for it, so no lock-order cycle can form).
 //   - normalizedpred: learn.Prediction values built with
 //     learn.NewPrediction in an exported function are normalized
 //     before they cross the package boundary;
 //     returns through unexported helpers are followed one summary
 //     level deep.
-//   - lockorder: no mutex acquisition-order cycles and no same-mutex
-//     re-entry anywhere in the call graph (potential deadlocks).
 //   - workerpure: closures handed to parallel.Map/ForEach write
-//     nothing but their own result slot, transitively through their
-//     callees, unless the target is tagged `// guarded by`.
+//     nothing but their own locals and their own result slot,
+//     transitively through their callees.
 //   - statecodec: every exported field of a struct the artifact codec
 //     touches must flow into an encode call and receive a decode
 //     assignment, interprocedurally from the `// lint:codec` roots, so
@@ -43,9 +43,6 @@
 //     runs under a context derived from the request, and
 //     context.Background/TODO in request-reachable code is a finding
 //     (client disconnect must cancel in-flight work).
-//   - goroleak: every go statement has a visible termination path —
-//     WaitGroup Add/Done pairing, matched or buffered channels, or a
-//     context-bounded loop.
 //   - errflow: errors from io/json/artifact/parallel calls in request-
 //     or codec-reachable code are checked, returned, or explicitly
 //     suppressed, never silently discarded.
@@ -60,9 +57,9 @@
 //     atomic.Pointer.Store are frozen after publication, and Load
 //     snapshots are never written through.
 //
-// ctxflow, goroleak, and errflow share the value-flow substrate in
-// flow.go: def-use chains inside a function, plus interprocedural
-// param→sink and param→result summaries over the static call graph.
+// ctxflow and errflow share the value-flow substrate in flow.go:
+// def-use chains inside a function, plus interprocedural param→sink
+// and param→result summaries over the static call graph.
 // sharedread, poolescape, and cowstore share the mutation/escape
 // summary substrate in mutsum.go: per-function summaries of which
 // parameters a function mutates (and through which field/element
@@ -146,16 +143,14 @@ func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		MapRangeFloat,
 		SeedFlow,
-		GuardedBy,
+		Confine,
 		NormalizedPred,
-		LockOrder,
 		WorkerPure,
 		StateCodec,
 		SnapshotOnce,
 		BoundedRead,
 		HotAlloc,
 		CtxFlow,
-		GoroLeak,
 		ErrFlow,
 		SharedRead,
 		PoolEscape,

@@ -28,16 +28,14 @@ func TestGolden(t *testing.T) {
 	}{
 		{"maprangefloat", analysis.MapRangeFloat},
 		{"seedflow", analysis.SeedFlow},
-		{"guardedby", analysis.GuardedBy},
+		{"confine", analysis.Confine},
 		{"normalizedpred", analysis.NormalizedPred},
-		{"lockorder", analysis.LockOrder},
 		{"workerpure", analysis.WorkerPure},
 		{"statecodec", analysis.StateCodec},
 		{"snapshotonce", analysis.SnapshotOnce},
 		{"boundedread", analysis.BoundedRead},
 		{"hotalloc", analysis.HotAlloc},
 		{"ctxflow", analysis.CtxFlow},
-		{"goroleak", analysis.GoroLeak},
 		{"errflow", analysis.ErrFlow},
 		{"sharedread", analysis.SharedRead},
 		{"poolescape", analysis.PoolEscape},

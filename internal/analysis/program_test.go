@@ -7,7 +7,7 @@ import (
 	"repro/internal/analysis"
 )
 
-// loadFixtureProgram loads one analyzer fixture package and wraps it in
+// loadFixtureProgram loads one fixture package and wraps it in
 // a single-package program.
 func loadFixtureProgram(t *testing.T, name string) (*analysis.Program, *analysis.Package) {
 	t.Helper()
@@ -33,7 +33,7 @@ func fixtureFunc(t *testing.T, pkg *analysis.Package, name string) *types.Func {
 }
 
 func TestProgramCallGraph(t *testing.T) {
-	prog, pkg := loadFixtureProgram(t, "lockorder")
+	prog, pkg := loadFixtureProgram(t, "callgraph")
 
 	// A statically resolvable call is an edge.
 	caller := fixtureFunc(t, pkg, "reenterViaCall")
@@ -95,7 +95,7 @@ func TestProgramCallGraph(t *testing.T) {
 }
 
 func TestFixpointUnionPropagates(t *testing.T) {
-	prog, pkg := loadFixtureProgram(t, "lockorder")
+	prog, pkg := loadFixtureProgram(t, "callgraph")
 
 	// Seed each function with its own name; the fixpoint must propagate
 	// callee names to callers across the call graph.
@@ -115,7 +115,7 @@ func TestFixpointUnionPropagates(t *testing.T) {
 }
 
 func TestProgramCacheMemoizes(t *testing.T) {
-	prog, _ := loadFixtureProgram(t, "lockorder")
+	prog, _ := loadFixtureProgram(t, "callgraph")
 	calls := 0
 	compute := func() any { calls++; return calls }
 	if v := prog.Cache("k", compute); v.(int) != 1 {

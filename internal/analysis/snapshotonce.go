@@ -16,7 +16,9 @@ import (
 // Handlers are recognized by shape: a declared function or method
 // taking (http.ResponseWriter, *http.Request) and returning nothing.
 // Load counting is interprocedural over the static call graph with
-// closure bodies included, and a Load inside a loop counts as many.
+// closure bodies included, and a Load inside a loop, or inside a
+// function literal handed to a call (a fan-out's per-element body),
+// counts as many.
 // Middleware that deliberately re-reads (e.g. a metrics wrapper
 // comparing generations) suppresses with //lint:ignore snapshotonce.
 var SnapshotOnce = &Analyzer{
@@ -75,8 +77,10 @@ const snapshotLoadCap = 2
 // surely as one with two helpers — and a site inside a for/range loop
 // saturates immediately, since one iteration per registry generation
 // is all it takes. Closure bodies count toward the enclosing
-// function. The fixpoint is monotone and capped, so recursion
-// terminates.
+// function, and a function literal passed as a call argument counts
+// as a loop body: the callee may run it once per element, as
+// parallel.Map does for each element of a batch. The fixpoint is
+// monotone and capped, so recursion terminates.
 func snapshotLoadTotals(prog *Program) map[*types.Func]int {
 	return prog.Cache("snapshotonce.totals", func() any {
 		totals := make(map[*types.Func]int, len(prog.decls))
@@ -136,6 +140,17 @@ func bodyLoadCount(d *FuncDecl, totals map[*types.Func]int) int {
 				} else if callee := CalleeOf(d.Pkg.Info, n); callee != nil {
 					add(totals[callee], inLoop)
 				}
+				walk(n.Fun, inLoop)
+				for _, arg := range n.Args {
+					// A literal handed to a call may run once per
+					// element (parallel.Map, sort.Slice): a loop body.
+					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+						walk(lit.Body, true)
+					} else {
+						walk(arg, inLoop)
+					}
+				}
+				return false
 			}
 			return true
 		})

@@ -73,3 +73,25 @@ func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	b := s.reg.Load()
 	_ = a == b
 }
+
+// handleBatch resolves each element through a helper that loads, in a
+// literal handed to a fan-out: the fan-out runs the literal once per
+// element, so one load site in it tears like a load in a loop.
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	names := []string{"a", "b"}
+	forEach(len(names), func(i int) { _ = s.lookup(names[i]) })
+}
+
+// handleBatchOnce loads before the fan-out and hands the one snapshot
+// to every element (true negative).
+func (s *server) handleBatchOnce(w http.ResponseWriter, r *http.Request) {
+	reg := s.reg.Load()
+	names := []string{"a", "b"}
+	forEach(len(names), func(i int) { _ = lookupIn(reg, names[i]) })
+}
+
+func forEach(n int, f func(i int)) {
+	for i := 0; i < n; i++ {
+		f(i)
+	}
+}

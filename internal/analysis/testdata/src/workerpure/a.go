@@ -1,9 +1,9 @@
 // Package fixtures exercises the workerpure analyzer: worker closures
 // writing package-level state (directly or through a helper — the
-// interprocedural case), captured variables, and unguarded captured
-// struct fields are true positives; own-result-slot writes,
-// closure-local state, and `// guarded by`-tagged targets are
-// negatives.
+// interprocedural case), captured variables, and captured struct
+// fields are true positives, even when a mutex is held and the target
+// carries a `// guarded by` comment; own-result-slot writes and
+// closure-local state are negatives.
 package fixtures
 
 import (
@@ -17,7 +17,7 @@ var hits int
 
 var statsMu sync.Mutex
 
-// stats is protected: workers may write it under statsMu.
+// stats is locked, but a lock does not make a worker's write pure.
 var stats = map[string]int{} // guarded by statsMu
 
 type collector struct {
@@ -56,7 +56,7 @@ func positives(ctx context.Context, xs []float64, c *collector) {
 		sum += xs[i]
 		return nil
 	})
-	// Unguarded captured struct field.
+	// Captured struct field.
 	_ = parallel.ForEach(ctx, 4, len(xs), func(ctx context.Context, i int) error {
 		c.total++
 		return nil
@@ -121,8 +121,8 @@ func negatives(ctx context.Context, xs []float64, c *collector) ([]float64, erro
 		return nil
 	})
 	_ = rows
-	// Guarded targets: the guardedby analyzer owns their locking
-	// discipline.
+	// A held lock and a guarded-by comment exempt nothing: the order
+	// of the writes still depends on scheduling.
 	_ = parallel.ForEach(ctx, 4, len(xs), func(ctx context.Context, i int) error {
 		statsMu.Lock()
 		stats["tasks"]++

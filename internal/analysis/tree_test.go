@@ -18,16 +18,14 @@ func TestDefaultAnalyzerCatalog(t *testing.T) {
 	want := []string{
 		"maprangefloat",
 		"seedflow",
-		"guardedby",
+		"confine",
 		"normalizedpred",
-		"lockorder",
 		"workerpure",
 		"statecodec",
 		"snapshotonce",
 		"boundedread",
 		"hotalloc",
 		"ctxflow",
-		"goroleak",
 		"errflow",
 		"sharedread",
 		"poolescape",

@@ -11,14 +11,14 @@ import (
 // WorkerPure enforces purity of the closures handed to the worker
 // pool: a function literal passed to parallel.Map or parallel.ForEach
 // runs concurrently on many goroutines, so the only state it may
-// write is (a) variables it declares itself, (b) its own result slot —
-// an element of a captured slice or map indexed by the closure's task
-// index parameter (each task owns a distinct slot, the pattern every
-// fan-out in this repo uses), and (c) targets that carry a
-// `// guarded by <mutex>` tag, whose locking discipline the guardedby
-// analyzer enforces separately. Anything else — a captured scalar, a
-// shared map, package-level state — is a data race under the fan-out
-// and breaks the bit-identical-at-every-worker-count guarantee.
+// write is (a) variables it declares itself and (b) its own result
+// slot — an element of a captured slice or map indexed by the
+// closure's task index parameter (each task owns a distinct slot, the
+// pattern every fan-out in this repo uses). Anything else — a captured
+// scalar, a shared map, package-level state — is a data race under
+// the fan-out, or, behind a lock, a write whose order depends on
+// scheduling; either breaks the bit-identical-at-every-worker-count
+// guarantee.
 //
 // The check is interprocedural twice over: package-level state is
 // summarized over the call graph (a worker that mutates a package
@@ -33,16 +33,8 @@ var WorkerPure = &Analyzer{
 	Run:  runWorkerPure,
 }
 
-// pkgWriteFact records a write to a package-level variable inside some
-// function: the variable's key and how to describe the write.
-type pkgWriteFact struct {
-	key     string // pkgpath.var
-	display string // pkgname.var
-}
-
 func runWorkerPure(pass *Pass) {
-	guards := workerPureGuards(pass.Prog)
-	writes := workerPureWrites(pass.Prog, guards)
+	writes := workerPureWrites(pass.Prog)
 	sums := MutSummaries(pass.Prog)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -58,7 +50,7 @@ func runWorkerPure(pass *Pass) {
 			if !ok {
 				return true
 			}
-			checkWorkerClosure(pass, name, lit, guards, writes, sums)
+			checkWorkerClosure(pass, name, lit, writes, sums)
 			return true
 		})
 	}
@@ -85,29 +77,29 @@ func parallelPoolCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 // checkWorkerClosure verifies one worker literal: direct writes in the
 // body (captured variables and package-level state) and transitive
 // package-level writes through its statically resolved callees.
-func checkWorkerClosure(pass *Pass, pool string, lit *ast.FuncLit, guards map[string]bool, writes map[*types.Func]map[pkgWriteFact]bool, sums map[*types.Func]*MutSummary) {
+func checkWorkerClosure(pass *Pass, pool string, lit *ast.FuncLit, writes map[*types.Func]map[pkgVarKey]bool, sums map[*types.Func]*MutSummary) {
 	idxParams := intParamObjs(pass, lit)
 	ast.Inspect(lit, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				checkWorkerWrite(pass, pool, lit, lhs, idxParams, guards)
+				checkWorkerWrite(pass, pool, lit, lhs, idxParams)
 			}
 		case *ast.IncDecStmt:
-			checkWorkerWrite(pass, pool, lit, n.X, idxParams, guards)
+			checkWorkerWrite(pass, pool, lit, n.X, idxParams)
 		case *ast.CallExpr:
-			checkWorkerCallArgs(pass, pool, lit, n, idxParams, guards, sums)
+			checkWorkerCallArgs(pass, pool, lit, n, idxParams, sums)
 		}
 		return true
 	})
 	callees, _ := callsIn(pass.Info, lit, true)
-	reported := make(map[pkgWriteFact]bool)
+	reported := make(map[pkgVarKey]bool)
 	for _, callee := range callees {
 		facts := writes[callee]
 		if len(facts) == 0 {
 			continue
 		}
-		sorted := make([]pkgWriteFact, 0, len(facts))
+		sorted := make([]pkgVarKey, 0, len(facts))
 		for f := range facts {
 			if !reported[f] {
 				reported[f] = true
@@ -136,9 +128,8 @@ func checkWorkerClosure(pass *Pass, pool string, lit *ast.FuncLit, guards map[st
 // captured (or package-level) map, slice, or pointer to a callee whose
 // mutation/escape summary (mutsum.go) records a write to that
 // parameter. The same exemptions as direct writes apply — values the
-// closure declares itself, slot-indexed elements (&out[i]), and
-// `// guarded by`-tagged targets are fine.
-func checkWorkerCallArgs(pass *Pass, pool string, lit *ast.FuncLit, call *ast.CallExpr, idxParams map[types.Object]bool, guards map[string]bool, sums map[*types.Func]*MutSummary) {
+// closure declares itself and slot-indexed elements (&out[i]) are fine.
+func checkWorkerCallArgs(pass *Pass, pool string, lit *ast.FuncLit, call *ast.CallExpr, idxParams map[types.Object]bool, sums map[*types.Func]*MutSummary) {
 	callee, slotArgs := calleeSlotArgs(pass.Info, call)
 	if callee == nil {
 		return
@@ -162,8 +153,8 @@ func checkWorkerCallArgs(pass *Pass, pool string, lit *ast.FuncLit, call *ast.Ca
 			if ue, ok := target.(*ast.UnaryExpr); ok && ue.Op == token.AND {
 				target = ue.X
 			}
-			t := resolveWriteTarget(pass.Info, target, idxParams, guards)
-			if t.root == nil || t.guarded || t.slotIndexed {
+			t := resolveWriteTarget(pass.Info, target, idxParams)
+			if t.root == nil || t.slotIndexed {
 				continue
 			}
 			if t.root.Pos() >= lit.Pos() && t.root.Pos() < lit.End() {
@@ -176,7 +167,7 @@ func checkWorkerCallArgs(pass *Pass, pool string, lit *ast.FuncLit, call *ast.Ca
 				continue
 			}
 			pass.Reportf(arg.Pos(),
-				"worker closure passed to parallel.%s hands captured %q to %s, which mutates it (%s); index writes by the task index or tag the target `// guarded by <mutex>`",
+				"worker closure passed to parallel.%s hands captured %q to %s, which mutates it (%s); index writes by the task index",
 				pool, t.root.Name(), callee.Name(), paths[0])
 		}
 	}
@@ -184,9 +175,9 @@ func checkWorkerCallArgs(pass *Pass, pool string, lit *ast.FuncLit, call *ast.Ca
 
 // checkWorkerWrite validates one assignment target inside a worker
 // closure.
-func checkWorkerWrite(pass *Pass, pool string, lit *ast.FuncLit, lhs ast.Expr, idxParams map[types.Object]bool, guards map[string]bool) {
-	t := resolveWriteTarget(pass.Info, lhs, idxParams, guards)
-	if t.root == nil || t.guarded {
+func checkWorkerWrite(pass *Pass, pool string, lit *ast.FuncLit, lhs ast.Expr, idxParams map[types.Object]bool) {
+	t := resolveWriteTarget(pass.Info, lhs, idxParams)
+	if t.root == nil {
 		return
 	}
 	if t.root.Pos() >= lit.Pos() && t.root.Pos() < lit.End() {
@@ -202,7 +193,7 @@ func checkWorkerWrite(pass *Pass, pool string, lit *ast.FuncLit, lhs ast.Expr, i
 		return
 	}
 	pass.Reportf(lhs.Pos(),
-		"worker closure passed to parallel.%s writes captured %q outside its own result slot; index it by the task index or tag the target `// guarded by <mutex>`",
+		"worker closure passed to parallel.%s writes captured %q outside its own result slot; index it by the task index",
 		pool, t.root.Name())
 }
 
@@ -211,13 +202,11 @@ func checkWorkerWrite(pass *Pass, pool string, lit *ast.FuncLit, lhs ast.Expr, i
 type writeTarget struct {
 	root        types.Object
 	slotIndexed bool // an index step used a task-index parameter
-	guarded     bool // a selected field or root carries a guard tag
 }
 
 // resolveWriteTarget peels lhs down to its root object, noting whether
-// the path goes through an element indexed by one of idxParams or a
-// `// guarded by`-tagged target.
-func resolveWriteTarget(info *types.Info, lhs ast.Expr, idxParams map[types.Object]bool, guards map[string]bool) writeTarget {
+// the path goes through an element indexed by one of idxParams.
+func resolveWriteTarget(info *types.Info, lhs ast.Expr, idxParams map[types.Object]bool) writeTarget {
 	var t writeTarget
 	e := lhs
 	for {
@@ -228,9 +217,6 @@ func resolveWriteTarget(info *types.Info, lhs ast.Expr, idxParams map[types.Obje
 				obj = info.Defs[x]
 			}
 			t.root = obj
-			if v, ok := obj.(*types.Var); ok && isPackageLevel(v) && guards[packageVarSym(v).key] {
-				t.guarded = true
-			}
 			return t
 		case *ast.StarExpr:
 			e = x.X
@@ -242,19 +228,9 @@ func resolveWriteTarget(info *types.Info, lhs ast.Expr, idxParams map[types.Obje
 			}
 			e = x.X
 		case *ast.SelectorExpr:
-			if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-				if named := namedOf(info.TypeOf(x.X)); named != nil {
-					key := named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + x.Sel.Name
-					if guards[key] {
-						t.guarded = true
-					}
-				}
-			} else if v, ok := info.Uses[x.Sel].(*types.Var); ok && isPackageLevel(v) {
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok && isPackageLevel(v) {
 				// Qualified reference to another package's variable.
 				t.root = v
-				if guards[packageVarSym(v).key] {
-					t.guarded = true
-				}
 				return t
 			}
 			e = x.X
@@ -285,79 +261,18 @@ func intParamObjs(pass *Pass, lit *ast.FuncLit) map[types.Object]bool {
 	return out
 }
 
-// workerPureGuards computes, once per program, the set of guarded
-// targets: struct fields and package-level variables whose declaration
-// carries a `// guarded by <mutex>` tag. Keys are
-// "pkgpath.Type.field" and "pkgpath.var".
-func workerPureGuards(prog *Program) map[string]bool {
-	return prog.Cache("workerpure.guards", func() any {
-		guards := make(map[string]bool)
-		for _, pkg := range prog.Pkgs {
-			for _, file := range pkg.Files {
-				ast.Inspect(file, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.TypeSpec:
-						st, ok := n.Type.(*ast.StructType)
-						if !ok {
-							return true
-						}
-						for _, f := range st.Fields.List {
-							if guardTag(f) == "" {
-								continue
-							}
-							for _, name := range f.Names {
-								guards[pkg.Pkg.Path()+"."+n.Name.Name+"."+name.Name] = true
-							}
-						}
-					case *ast.GenDecl:
-						for _, spec := range n.Specs {
-							vs, ok := spec.(*ast.ValueSpec)
-							if !ok {
-								continue
-							}
-							if !specHasGuardTag(n, vs) {
-								continue
-							}
-							for _, name := range vs.Names {
-								guards[pkg.Pkg.Path()+"."+name.Name] = true
-							}
-						}
-					}
-					return true
-				})
-			}
-		}
-		return guards
-	}).(map[string]bool)
-}
-
-// specHasGuardTag reports whether a var spec (or its enclosing decl)
-// is documented as guarded by a mutex.
-func specHasGuardTag(decl *ast.GenDecl, vs *ast.ValueSpec) bool {
-	for _, group := range []*ast.CommentGroup{vs.Doc, vs.Comment, decl.Doc} {
-		if group != nil && guardedByRe.MatchString(group.Text()) {
-			return true
-		}
-	}
-	return false
-}
-
 // workerPureWrites computes, once per program, the transitive
 // package-level-write summary: for each declared function, every
-// unguarded package-level variable it (or any statically resolved
-// callee) assigns to.
-func workerPureWrites(prog *Program, guards map[string]bool) map[*types.Func]map[pkgWriteFact]bool {
+// package-level variable it (or any statically resolved callee)
+// assigns to.
+func workerPureWrites(prog *Program) map[*types.Func]map[pkgVarKey]bool {
 	return prog.Cache("workerpure.writes", func() any {
-		return FixpointUnion(prog, func(d *FuncDecl) map[pkgWriteFact]bool {
-			local := make(map[pkgWriteFact]bool)
+		return FixpointUnion(prog, func(d *FuncDecl) map[pkgVarKey]bool {
+			local := make(map[pkgVarKey]bool)
 			record := func(lhs ast.Expr) {
-				t := resolveWriteTarget(d.Pkg.Info, lhs, nil, guards)
-				if t.guarded {
-					return
-				}
+				t := resolveWriteTarget(d.Pkg.Info, lhs, nil)
 				if v, ok := t.root.(*types.Var); ok && isPackageLevel(v) {
-					sym := packageVarSym(v)
-					local[pkgWriteFact{key: sym.key, display: sym.display}] = true
+					local[packageVarSym(v)] = true
 				}
 			}
 			ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
@@ -373,5 +288,5 @@ func workerPureWrites(prog *Program, guards map[string]bool) map[*types.Func]map
 			})
 			return local
 		})
-	}).(map[*types.Func]map[pkgWriteFact]bool)
+	}).(map[*types.Func]map[pkgVarKey]bool)
 }

@@ -199,6 +199,9 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 		factories = append(factories, spec.Factory)
 	}
 
+	// shared are the interim ensemble's trained learners, which are
+	// also the first final learners; nil without an interim ensemble.
+	var shared []learn.Learner
 	if cfg.UseXMLLearner {
 		// The XML learner labels sub-elements with the true mappings at
 		// training time and with the rest of LSD at matching time
@@ -211,15 +214,18 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: interim meta-learner: %w", err)
 			}
-			interimLearners, err := trainAll(cfg.BaseLearners, labels, examples, cfg.Workers)
+			// The interim ensemble's learners are the final non-XML
+			// learners (same factories, same examples), so they are
+			// trained once and the instances are shared.
+			shared, err = trainLearners(sys.names, factories, labels, examples, cfg.Workers)
 			if err != nil {
 				return nil, err
 			}
 			interim = &ensembleLabeler{
-				mediated: med, learners: interimLearners, stacker: interimStack,
+				mediated: med, learners: shared, stacker: interimStack,
 			}
 			sys.interimNames = append([]string(nil), sys.names...)
-			sys.interimLearners = interimLearners
+			sys.interimLearners = shared
 			sys.interimStacker = interimStack
 		}
 		xmlFactory := func() learn.Learner {
@@ -233,21 +239,16 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 		factories = append(factories, xmlFactory)
 	}
 
-	// Train the final copies of every learner on the full training set.
-	// Learners are independent instances, so they train concurrently.
-	trained := make([]learn.Learner, len(factories))
-	err := parallel.ForEach(context.Background(), cfg.Workers, len(factories), func(_ context.Context, i int) error {
-		l := factories[i]()
-		if err := l.Train(labels, examples); err != nil {
-			return fmt.Errorf("core: training %s: %w", sys.names[i], err)
-		}
-		trained[i] = l
-		return nil
-	})
+	// Train the final learners the interim ensemble did not: the XML
+	// learner, or every learner when there is no interim ensemble.
+	n := len(shared)
+	rest, err := trainLearners(sys.names[n:], factories[n:], labels, examples, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	sys.learners = trained
+	// The full slice expression makes the append copy, so the interim
+	// list keeps a backing array of its own.
+	sys.learners = append(shared[:n:n], rest...)
 
 	// Step 5: train the meta-learner by stacking over all learners.
 	stacker, err := meta.Train(table, sys.names, factories, examples, cfg.Meta, finalSeed, cfg.Workers)
@@ -258,12 +259,15 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	return sys, nil
 }
 
-func trainAll(specs []LearnerSpec, labels []string, examples []learn.Example, workers int) ([]learn.Learner, error) {
-	out := make([]learn.Learner, len(specs))
-	err := parallel.ForEach(context.Background(), workers, len(specs), func(_ context.Context, i int) error {
-		l := specs[i].Factory()
+// trainLearners trains one instance of each factory on the full
+// training set. The instances are independent, so they train
+// concurrently.
+func trainLearners(names []string, factories []learn.Factory, labels []string, examples []learn.Example, workers int) ([]learn.Learner, error) {
+	out := make([]learn.Learner, len(factories))
+	err := parallel.ForEach(context.Background(), workers, len(factories), func(_ context.Context, i int) error {
+		l := factories[i]()
 		if err := l.Train(labels, examples); err != nil {
-			return fmt.Errorf("core: training %s: %w", specs[i].Name, err)
+			return fmt.Errorf("core: training %s: %w", names[i], err)
 		}
 		out[i] = l
 		return nil

@@ -54,11 +54,14 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// Get resolves a model by name.
-func (r *Registry) Get(name string) (*Model, bool) {
-	m, ok := (*r.models.Load())[name]
-	return m, ok
-}
+// Snapshot is one registry generation: the name → model table that
+// one Set or Drop published. It is read-only.
+type Snapshot map[string]*Model
+
+// Snapshot returns the current generation. A request that resolves
+// every model it needs from one Snapshot never mixes two generations,
+// however many reloads land while it runs.
+func (r *Registry) Snapshot() Snapshot { return *r.models.Load() }
 
 // List returns the loaded models sorted by name.
 func (r *Registry) List() []*Model {

@@ -344,7 +344,7 @@ func TestAdminLoad(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	if _, ok := reg.Get("condos"); !ok {
+	if _, ok := reg.Snapshot()["condos"]; !ok {
 		t.Fatal("loaded model not in registry")
 	}
 
@@ -387,7 +387,7 @@ func TestRegistry(t *testing.T) {
 	}
 	a2 := &Model{Name: "a", Checksum: "new"}
 	reg.Set(a2)
-	if m, _ := reg.Get("a"); m != a2 {
+	if m := reg.Snapshot()["a"]; m != a2 {
 		t.Fatal("Set did not replace model")
 	}
 	if !reg.Drop("a") || reg.Drop("a") {
@@ -494,26 +494,49 @@ func TestLoadDir(t *testing.T) {
 	}
 }
 
-// TestHotReloadServesConsistentSnapshots hammers /v1/match while a
-// writer hot-reloads the same model from its artifact in a loop: every
-// reply must carry the complete, correct mapping — never a snapshot a
-// reload mutated mid-flight. Together with the -race run in CI this is
-// the end-to-end witness for the cowstore contract on the registry:
-// Set/LoadFile build a fresh model table and publish it with one
-// atomic Store, so readers always match against a frozen generation.
+// TestHotReloadServesConsistentSnapshots hammers /v1/match and
+// /v1/batch while a writer hot-reloads the "houses" model from disk in
+// a loop, alternating two artifacts of that name whose checksums
+// differ. Every reply must carry the complete, correct mapping, never
+// a snapshot a reload mutated mid-flight, and every element of one
+// batch reply must come from the same artifact. Together with the
+// -race run in CI this is the end-to-end witness for the cowstore and
+// snapshotonce contracts on the registry: Set/LoadFile build a fresh
+// model table and publish it with one atomic Store, and a request
+// resolves its models in one loaded generation.
 func TestHotReloadServesConsistentSnapshots(t *testing.T) {
 	reg, srv, ts := newTestServer(t)
-	path := filepath.Join(srv.opts.AdminDir, "houses"+ArtifactExt)
 	want := matchDirect(t, 1)
 	wantMapping := fmt.Sprint(map[string]string(want.Mapping))
-	m, _ := reg.Get("houses")
-	wantChecksum := m.Checksum
+	pathA := filepath.Join(srv.opts.AdminDir, "houses"+ArtifactExt)
+	checksumA := reg.Snapshot()["houses"].Checksum
+
+	// The second artifact differs only in its training seed, which
+	// matching never reads: same name and mappings, another checksum.
+	st := modeltest.State(t)
+	st.Config.Seed++
+	data, err := artifact.Encode("houses", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathB := filepath.Join(t.TempDir(), "houses-reseeded"+ArtifactExt)
+	if err := os.WriteFile(pathB, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mB, err := reg.LoadFile(pathB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checksumB := mB.Checksum
+	if checksumA == checksumB {
+		t.Fatal("the two artifacts share a checksum; the test cannot tell them apart")
+	}
 
 	stop := make(chan struct{})
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		for {
+		for n := 0; ; n++ {
 			select {
 			case <-stop:
 				return
@@ -521,6 +544,10 @@ func TestHotReloadServesConsistentSnapshots(t *testing.T) {
 			}
 			// Reload from disk: each iteration decodes a fresh model and
 			// publishes a fresh registry generation, as /admin/load does.
+			path := pathA
+			if n%2 == 1 {
+				path = pathB
+			}
 			if _, err := reg.LoadFile(path, 0); err != nil {
 				t.Error(err)
 				return
@@ -528,8 +555,45 @@ func TestHotReloadServesConsistentSnapshots(t *testing.T) {
 		}
 	}()
 
+	// post sends one request and decodes a 200 reply into out.
+	post := func(endpoint string, body, out any) error {
+		raw, _ := json.Marshal(body)
+		resp, err := http.Post(ts.URL+endpoint, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			return err
+		}
+		var buf bytes.Buffer
+		_, rerr := buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if rerr != nil {
+			return rerr
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s: status %d: %s", endpoint, resp.StatusCode, buf.String())
+		}
+		return json.Unmarshal(buf.Bytes(), out)
+	}
+	// check verifies one reply. The mappings never change across
+	// reloads, so any deviation means a request saw a half-built or
+	// mutated snapshot.
+	check := func(got MatchResponse) error {
+		if got.Checksum != checksumA && got.Checksum != checksumB {
+			return fmt.Errorf("checksum %q, want %q or %q", got.Checksum, checksumA, checksumB)
+		}
+		if fmt.Sprint(got.Mapping) != wantMapping {
+			return fmt.Errorf("mapping %v, want %v", got.Mapping, wantMapping)
+		}
+		return nil
+	}
+
 	const readers = 8
 	const iters = 25
+	const batchLen = 6
+	req := MatchRequest{Model: "houses", DTD: modeltest.SourceDTD, XML: modeltest.SourceXML, OmitPredictions: true}
+	batch := BatchRequest{Workers: 4}
+	for i := 0; i < batchLen; i++ {
+		batch.Requests = append(batch.Requests, req)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, readers*iters)
 	for g := 0; g < readers; g++ {
@@ -537,40 +601,34 @@ func TestHotReloadServesConsistentSnapshots(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				raw, _ := json.Marshal(MatchRequest{
-					Model: "houses", DTD: modeltest.SourceDTD, XML: modeltest.SourceXML, OmitPredictions: true,
-				})
-				resp, err := http.Post(ts.URL+"/v1/match", "application/json", bytes.NewReader(raw))
-				if err != nil {
-					errs <- err
-					return
-				}
-				var body bytes.Buffer
-				_, rerr := body.ReadFrom(resp.Body)
-				resp.Body.Close()
-				if rerr != nil {
-					errs <- rerr
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("request %d: status %d: %s", i, resp.StatusCode, body.String())
-					return
-				}
 				var got MatchResponse
-				if err := json.Unmarshal(body.Bytes(), &got); err != nil {
+				if err := post("/v1/match", req, &got); err != nil {
 					errs <- fmt.Errorf("request %d: %v", i, err)
 					return
 				}
-				// The model content never changes across reloads, so any
-				// deviation means a request saw a half-built or mutated
-				// snapshot.
-				if got.Checksum != wantChecksum {
-					errs <- fmt.Errorf("request %d: checksum %q, want %q", i, got.Checksum, wantChecksum)
+				if err := check(got); err != nil {
+					errs <- fmt.Errorf("request %d: %v", i, err)
 					return
 				}
-				if fmt.Sprint(got.Mapping) != wantMapping {
-					errs <- fmt.Errorf("request %d: mapping %v, want %v", i, got.Mapping, wantMapping)
+				var gotBatch BatchResponse
+				if err := post("/v1/batch", batch, &gotBatch); err != nil {
+					errs <- fmt.Errorf("batch %d: %v", i, err)
 					return
+				}
+				if len(gotBatch.Responses) != batchLen {
+					errs <- fmt.Errorf("batch %d: %d replies, want %d", i, len(gotBatch.Responses), batchLen)
+					return
+				}
+				for k, r := range gotBatch.Responses {
+					if err := check(r); err != nil {
+						errs <- fmt.Errorf("batch %d element %d: %v", i, k, err)
+						return
+					}
+					if r.Checksum != gotBatch.Responses[0].Checksum {
+						errs <- fmt.Errorf("batch %d mixes two model versions: element 0 has checksum %.12s, element %d has %.12s",
+							i, gotBatch.Responses[0].Checksum, k, r.Checksum)
+						return
+					}
 				}
 			}
 		}()

@@ -202,7 +202,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	resp, status := s.match(r.Context(), &req)
+	resp, status := s.match(r.Context(), s.reg.Snapshot(), &req)
 	if status != http.StatusOK {
 		writeError(w, status, "%s", resp.Error)
 		return
@@ -228,10 +228,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// context: responses come back positionally, so the reply order
 	// always mirrors request order, and a client disconnect cancels
 	// the undispatched remainder instead of burning the pool on an
-	// answer nobody will read.
+	// answer nobody will read. Every element resolves its model in the
+	// one snapshot loaded here, so a reload mid-batch cannot make one
+	// reply mix two versions of a model.
+	snap := s.reg.Snapshot()
 	responses, err := parallel.Map(r.Context(), workers, len(req.Requests),
 		func(ctx context.Context, i int) (MatchResponse, error) {
-			resp, status := s.match(ctx, &req.Requests[i])
+			resp, status := s.match(ctx, snap, &req.Requests[i])
 			resp.Status = status
 			return resp, nil
 		})
@@ -271,18 +274,18 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// match answers one request against the registry snapshot current at
-// call time. It returns the response and an HTTP status. ctx is the
-// HTTP request's context: a disconnected client cancels the match
-// fan-out instead of burning workers on an answer nobody will read.
-func (s *Server) match(ctx context.Context, req *MatchRequest) (MatchResponse, int) {
+// match answers one request against the registry snapshot the handler
+// loaded. It returns the response and an HTTP status. ctx is the HTTP
+// request's context: a disconnected client cancels the match fan-out
+// instead of burning workers on an answer nobody will read.
+func (s *Server) match(ctx context.Context, snap Snapshot, req *MatchRequest) (MatchResponse, int) {
 	fail := func(status int, format string, args ...any) (MatchResponse, int) {
 		return MatchResponse{Error: fmt.Sprintf(format, args...)}, status
 	}
 	if req.Model == "" {
 		return fail(http.StatusBadRequest, "request names no model")
 	}
-	m, ok := s.reg.Get(req.Model)
+	m, ok := snap[req.Model]
 	if !ok {
 		return fail(http.StatusNotFound, "model %q is not loaded", req.Model)
 	}
