@@ -15,9 +15,9 @@
 //     learn.DeriveSeed, and no *rand.Rand is captured by a go-launched
 //     function literal.
 //   - confine: go statements appear only in internal/parallel and in
-//     main packages, and sync.Mutex/RWMutex only in internal/memo,
-//     internal/serve and internal/analysis (concurrency stays in the
-//     packages built for it, so no lock-order cycle can form).
+//     main packages, and sync.Mutex/RWMutex only in internal/memo
+//     and internal/serve (concurrency stays in the packages built for
+//     it, so no lock-order cycle can form).
 //   - normalizedpred: learn.Prediction values built with
 //     learn.NewPrediction in an exported function are normalized
 //     before they cross the package boundary;

@@ -11,10 +11,9 @@ import (
 // goes through the pool, whose ordered merge is what keeps Train and
 // Match bit-identical at every worker count, and only a command owns
 // a process-lifetime goroutine such as a listener. A sync.Mutex or
-// sync.RWMutex is allowed only in repro/internal/memo (the shard
-// lock), repro/internal/serve (the registry's writer lock) and
-// repro/internal/analysis (the program cache lock). None of those
-// critical sections can reach another lock, so no lock-order cycle
+// sync.RWMutex is allowed only in repro/internal/memo (the shard lock)
+// and repro/internal/serve (the registry's writer lock). Neither
+// critical section can reach the other lock, so no lock-order cycle
 // can form; DESIGN.md states the argument per site.
 //
 // The rule is structural: every mention of the mutex type is reported,
@@ -24,7 +23,7 @@ import (
 // constants, not flags, so widening one is a reviewed edit here.
 var Confine = &Analyzer{
 	Name: "confine",
-	Doc:  "go statements only in internal/parallel and package main; sync mutexes only in internal/memo, internal/serve and internal/analysis",
+	Doc:  "go statements only in internal/parallel and package main; sync mutexes only in internal/memo and internal/serve",
 	Run:  runConfine,
 }
 
@@ -36,7 +35,7 @@ func goAllowed(pkg *types.Package) bool {
 // mutexAllowed reports whether pkg may declare sync mutexes.
 func mutexAllowed(pkg *types.Package) bool {
 	switch pkg.Path() {
-	case "repro/internal/memo", "repro/internal/serve", "repro/internal/analysis":
+	case "repro/internal/memo", "repro/internal/serve":
 		return true
 	}
 	return false
@@ -64,7 +63,7 @@ func runConfine(pass *Pass) {
 				return true
 			}
 			if name, ok := syncMutexType(pass.Info.Uses[id]); ok && !allowMutex {
-				pass.Reportf(n.Pos(), "sync.%s outside internal/memo, internal/serve and internal/analysis; share state through a memo.Table or the pool's result slots", name)
+				pass.Reportf(n.Pos(), "sync.%s outside internal/memo and internal/serve; share state through a memo.Table or the pool's result slots", name)
 				return false
 			}
 			return true

@@ -182,6 +182,33 @@ func (l *Loader) Load(path string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
+	pkg, err := l.parse(path)
+	if err != nil {
+		return nil, err
+	}
+
+	pkg.Info = &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+	}
+	cfg := &types.Config{Importer: (*loaderImporter)(l)}
+	tpkg, err := cfg.Check(path, l.Fset, pkg.Files, pkg.Info)
+	if err != nil {
+		return nil, err
+	}
+	pkg.Pkg = tpkg
+	l.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// parse reads and parses the package at the given import path, which
+// must be the module path or below it: the files Load type-checks,
+// with comments, but no type information (Pkg and Info are nil).
+// Nothing is cached.
+func (l *Loader) parse(path string) (*Package, error) {
 	dir := l.root
 	if path != l.modpath {
 		rel, ok := strings.CutPrefix(path, l.modpath+"/")
@@ -216,21 +243,6 @@ func (l *Loader) Load(path string) (*Package, error) {
 		pkg.Sources[filename] = src
 		pkg.Files = append(pkg.Files, file)
 	}
-
-	pkg.Info = &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	cfg := &types.Config{Importer: (*loaderImporter)(l)}
-	tpkg, err := cfg.Check(path, l.Fset, pkg.Files, pkg.Info)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Pkg = tpkg
-	l.pkgs[path] = pkg
 	return pkg, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"sync"
 )
 
 // FuncDecl pairs a declared function or method with its syntax and the
@@ -44,9 +43,7 @@ type Program struct {
 
 	decls map[*types.Func]*FuncDecl
 	calls map[*types.Func]*callInfo
-
-	cacheMu sync.Mutex
-	cache   map[string]any // guarded by cacheMu
+	cache map[string]any
 }
 
 // NewProgram builds the program view over pkgs: it indexes every
@@ -129,25 +126,19 @@ func (p *Program) HasUnresolvedCalls(fn *types.Func) bool {
 }
 
 // Cache memoizes a program-wide computation under a key, so analyzers
-// that need whole-program results (e.g. the global lock-order graph)
-// compute them once and report per package. compute runs outside the
-// cache lock, so cached computations can build on other cached
-// computations (the reachability substrate layers this way: a taint
-// fixpoint keyed on the cached closure-aware call graph). The
-// trade-off is that two goroutines racing on the same missing key may
-// both compute it; results must be deterministic values of the
-// program, which makes the duplicate work harmless.
+// that need whole-program results (e.g. the reachability sets of the
+// hot-path roots) compute them once and report per package. compute
+// may itself call Cache, so cached computations can build on other
+// cached computations (the reachability substrate layers this way: a
+// taint fixpoint keyed on the cached closure-aware call graph). A
+// Program is used from one goroutine: lsdlint and the tests run the
+// analyzers one package after another, so the cache needs no lock.
 func (p *Program) Cache(key string, compute func() any) any {
-	p.cacheMu.Lock()
-	v, ok := p.cache[key]
-	p.cacheMu.Unlock()
-	if ok {
+	if v, ok := p.cache[key]; ok {
 		return v
 	}
-	v = compute()
-	p.cacheMu.Lock()
+	v := compute()
 	p.cache[key] = v
-	p.cacheMu.Unlock()
 	return v
 }
 

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -192,6 +193,9 @@ func Decode(data []byte) (*Decoded, error) {
 		State:         &core.SystemState{},
 	}
 	seen := map[string]bool{}
+	// The learner records of the first ensemble section decoded, which
+	// the other may share (see decodeEnsemble).
+	var first []learnerRecord
 	for {
 		marker := r.u8()
 		if r.failed() {
@@ -225,7 +229,7 @@ func Decode(data []byte) (*Decoded, error) {
 			return nil, fmt.Errorf("artifact: duplicate section %q", name)
 		}
 		seen[name] = true
-		if err := decodeSection(name, sr, d); err != nil {
+		if err := decodeSection(name, sr, d, &first); err != nil {
 			return nil, err
 		}
 	}
@@ -250,7 +254,10 @@ func Decode(data []byte) (*Decoded, error) {
 	return d, nil
 }
 
-func decodeSection(name string, r *reader, d *Decoded) error {
+// decodeSection decodes one known section into d. first holds the
+// learner records of the ensemble section decoded first: the second
+// shares its instances where the records agree.
+func decodeSection(name string, r *reader, d *Decoded, first *[]learnerRecord) error {
 	switch name {
 	case secModel:
 		d.Name = r.str()
@@ -258,18 +265,19 @@ func decodeSection(name string, r *reader, d *Decoded) error {
 		decodeConfig(r, &d.State.Config)
 	case secMediated:
 		decodeMediated(r, d.State)
-	case secEnsemble:
-		names, learners, stacker, err := decodeEnsemble(r)
+	case secEnsemble, secInterim:
+		names, learners, stacker, recs, err := decodeEnsemble(r, *first)
 		if err != nil {
 			return err
 		}
-		d.State.Names, d.State.Learners, d.State.Stacker = names, learners, stacker
-	case secInterim:
-		names, learners, stacker, err := decodeEnsemble(r)
-		if err != nil {
-			return err
+		if *first == nil {
+			*first = recs
 		}
-		d.State.InterimNames, d.State.InterimLearners, d.State.InterimStacker = names, learners, stacker
+		if name == secEnsemble {
+			d.State.Names, d.State.Learners, d.State.Stacker = names, learners, stacker
+		} else {
+			d.State.InterimNames, d.State.InterimLearners, d.State.InterimStacker = names, learners, stacker
+		}
 	}
 	if r.failed() {
 		return r.err
@@ -462,49 +470,71 @@ func encodeEnsemble(names []string, learners []learn.Learner, stacker *meta.Stac
 	return w.buf, nil
 }
 
-func decodeEnsemble(r *reader) ([]string, []learn.Learner, *meta.Stacker, error) {
+// learnerRecord is one decoded learner with the record it came from.
+// The interim ensemble's learners are the final ensemble's first
+// learners, so an artifact of a trained system carries each of them
+// twice, byte for byte; decoding restores one instance for both, as
+// training built them.
+type learnerRecord struct {
+	name, kind string
+	payload    []byte
+	learner    learn.Learner
+	labels     []string
+}
+
+// decodeEnsemble decodes an ensemble section. Learner i reuses
+// prior[i]'s instance, without decoding its payload again, when both
+// records give the same name, kind and payload bytes.
+func decodeEnsemble(r *reader, prior []learnerRecord) ([]string, []learn.Learner, *meta.Stacker, []learnerRecord, error) {
 	names := r.strs()
 	n := r.count(2)
 	if r.failed() {
-		return nil, nil, nil, r.err
+		return nil, nil, nil, nil, r.err
 	}
 	if n != len(names) {
-		return nil, nil, nil, fmt.Errorf("artifact: %d names for %d learners", len(names), n)
+		return nil, nil, nil, nil, fmt.Errorf("artifact: %d names for %d learners", len(names), n)
 	}
-	learners := make([]learn.Learner, 0, n)
-	learnerLabels := make([][]string, 0, n)
+	recs := make([]learnerRecord, 0, n)
 	for i := 0; i < n; i++ {
 		kind := r.str()
 		plen := r.uvarint()
 		if r.failed() {
-			return nil, nil, nil, r.err
+			return nil, nil, nil, nil, r.err
 		}
 		if plen > uint64(r.remaining()) {
-			return nil, nil, nil, fmt.Errorf("artifact: learner %q claims %d bytes, %d remain", names[i], plen, r.remaining())
+			return nil, nil, nil, nil, fmt.Errorf("artifact: learner %q claims %d bytes, %d remain", names[i], plen, r.remaining())
 		}
 		lr := r.sub(int(plen))
+		rec := learnerRecord{name: names[i], kind: kind, payload: lr.data}
+		if i < len(prior) && prior[i].name == rec.name && prior[i].kind == kind && bytes.Equal(prior[i].payload, rec.payload) {
+			rec.learner, rec.labels = prior[i].learner, prior[i].labels
+			recs = append(recs, rec)
+			continue
+		}
 		l, labels, err := decodeLearner(kind, lr)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("artifact: learner %q: %w", names[i], err)
+			return nil, nil, nil, nil, fmt.Errorf("artifact: learner %q: %w", names[i], err)
 		}
 		if lr.remaining() != 0 {
-			return nil, nil, nil, fmt.Errorf("artifact: learner %q has %d trailing bytes", names[i], lr.remaining())
+			return nil, nil, nil, nil, fmt.Errorf("artifact: learner %q has %d trailing bytes", names[i], lr.remaining())
 		}
-		learners = append(learners, l)
-		learnerLabels = append(learnerLabels, labels)
+		rec.learner, rec.labels = l, labels
+		recs = append(recs, rec)
 	}
 	stacker, err := decodeStacker(r)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	// The stacker combines the learners' predictions label by label, so
 	// every learner must score the stacker's labels in the same order.
-	for i, labels := range learnerLabels {
-		if !slices.Equal(labels, stacker.Labels().Names()) {
-			return nil, nil, nil, fmt.Errorf("artifact: learner %q scores other labels than its stacker", names[i])
+	learners := make([]learn.Learner, len(recs))
+	for i, rec := range recs {
+		if !slices.Equal(rec.labels, stacker.Labels().Names()) {
+			return nil, nil, nil, nil, fmt.Errorf("artifact: learner %q scores other labels than its stacker", names[i])
 		}
+		learners[i] = rec.learner
 	}
-	return names, learners, stacker, nil
+	return names, learners, stacker, recs, nil
 }
 
 func encodeStacker(w *writer, st *meta.StackerState) {

@@ -640,3 +640,61 @@ func TestGoldenFutureSection(t *testing.T) {
 		t.Errorf("System: %v", err)
 	}
 }
+
+// TestDecodeSharesInterimLearners: an artifact whose interim learners
+// carry the same name, kind and payload bytes as the first final
+// learners decodes to one instance for both lists, as training built
+// them, and re-encodes to the same bytes. A record that differs in its
+// payload or its name keeps an instance of its own.
+func TestDecodeSharesInterimLearners(t *testing.T) {
+	st := fixtureState(t)
+	data, err := Encode("shared", st)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	d, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	sys, err := d.System(1)
+	if err != nil {
+		t.Fatalf("System: %v", err)
+	}
+	sst := sys.State()
+	for j := range st.InterimLearners {
+		if d.State.InterimLearners[j] != d.State.Learners[j] || sst.InterimLearners[j] != sst.Learners[j] {
+			t.Errorf("interim learner %d is a second instance of final learner %d", j, j)
+		}
+	}
+	again, err := Encode("shared", d.State)
+	if err != nil {
+		t.Fatalf("re-Encode: %v", err)
+	}
+	if !bytes.Equal(data, again) {
+		t.Error("shared decode does not re-encode to the same bytes")
+	}
+
+	// The interim Naive Bayes trained on fewer examples, and the interim
+	// name matcher under another name.
+	st = fixtureState(t)
+	nb := naivebayes.New()
+	if err := nb.Train(fixtureLabels, fixtureExamples()[1:]); err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	st.InterimLearners[1] = nb
+	st.InterimNames[0] = "Names"
+	data, err = Encode("unshared", st)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	d, err = Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	for j := range st.InterimLearners {
+		if d.State.InterimLearners[j] == d.State.Learners[j] {
+			t.Errorf("interim learner %d shares final learner %d's instance though their records differ", j, j)
+		}
+		checkSamePredictions(t, st.InterimLearners[j], d.State.InterimLearners[j])
+	}
+}

@@ -2,7 +2,8 @@
 // (manually specified mappings → data extraction → per-learner training
 // sets → base-learner training → meta-learner training) and the
 // matching phase (extract & collect data → match each source-DTD tag →
-// apply the constraint handler).
+// apply the constraint handler). score.go scores the tags' columns in
+// two passes, labelling sub-elements from the match's own predictions.
 package core
 
 import (
@@ -20,7 +21,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/meta"
 	"repro/internal/parallel"
-	"repro/internal/pool"
 	"repro/internal/xmltree"
 )
 
@@ -157,6 +157,11 @@ type System struct {
 	interimNames    []string
 	interimLearners []learn.Learner
 	interimStacker  *meta.Stacker
+	// labeler is the XML learner's matching-phase labeler over the
+	// interim ensemble; nil without an XML learner that consults one.
+	// Match puts the labels of the sub-elements it scores into its
+	// memo, where the XML learner reads them.
+	labeler *ensembleLabeler
 	// combined memoizes post-stacker predictions by instance key, so a
 	// leaf value the system has scored before — in an earlier request,
 	// another listing, or another tag — skips every learner and the
@@ -224,6 +229,7 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 			interim = &ensembleLabeler{
 				mediated: med, learners: shared, stacker: interimStack,
 			}
+			sys.labeler = interim
 			sys.interimNames = append([]string(nil), sys.names...)
 			sys.interimLearners = shared
 			sys.interimStacker = interimStack
@@ -295,48 +301,6 @@ func trainLabeler(sources []*Source) xmllearner.NodeLabeler {
 		}
 		return learn.Other
 	})
-}
-
-// ensembleLabeler labels a node with the best combined prediction of a
-// set of trained learners — the "LSD with other base learners" oracle
-// the XML learner consults for sub-element labels. The labeler is
-// fixed once trained, so labels memoize in a bounded cache keyed by
-// the textual instance key (tag, path, content): unlike the old
-// node-pointer key, entries are shared across cross-validation folds,
-// listings, and serve requests (whose freshly parsed nodes always
-// missed a pointer-keyed cache), and the two-generation bound stops
-// the cache from growing with every request the process ever served.
-type ensembleLabeler struct {
-	mediated *Mediated
-	learners []learn.Learner
-	stacker  *meta.Stacker
-	cache    memo.Table[string]
-}
-
-// LabelNode implements xmllearner.NodeLabeler.
-func (e *ensembleLabeler) LabelNode(n *xmltree.Node, path []string) string {
-	content := n.Content()
-	key := instanceKey(n.Tag, path, content)
-	if label, ok := e.cache.Get(key); ok {
-		return label
-	}
-	in := learn.Instance{
-		TagName:  n.Tag,
-		Path:     append([]string(nil), path...),
-		Synonyms: tagSynonyms(e.mediated, n.Tag),
-		Content:  content,
-		Node:     n,
-	}
-	preds := make([]learn.Prediction, len(e.learners))
-	for i, l := range e.learners {
-		preds[i] = l.Predict(in)
-	}
-	best, _ := e.stacker.Combine(preds).Best()
-	if best == "" {
-		best = learn.Other
-	}
-	e.cache.Put(key, best)
-	return best
 }
 
 // tagSynonyms expands a tag's words through the mediated schema's
@@ -445,13 +409,17 @@ type MatchResult struct {
 // scheduling new per-listing walks and per-instance predictions and
 // returns ctx's error.
 func (s *System) Match(ctx context.Context, src *Source, feedback ...constraint.Constraint) (*MatchResult, error) {
-	return s.match(ctx, src, s.combineBatch, feedback)
+	return s.match(ctx, src, s.score, feedback)
 }
 
-// match is Match with the per-column scorer as a parameter: Match
-// passes combineBatch, and the tests pass the per-instance reference
-// scorer that combineBatch must agree with bit for bit.
-func (s *System) match(ctx context.Context, src *Source, score func([]learn.Instance) []learn.Prediction, feedback []constraint.Constraint) (*MatchResult, error) {
+// scorer scores every tag's batch of instances, one prediction per
+// instance, aligned with the batches.
+type scorer func(ctx context.Context, batches [][]learn.Instance) ([][]learn.Prediction, error)
+
+// match is Match with the scorer as a parameter: Match passes score,
+// and the tests pass the per-instance reference scorer that score must
+// agree with bit for bit.
+func (s *System) match(ctx context.Context, src *Source, score scorer, feedback []constraint.Constraint) (*MatchResult, error) {
 	if src == nil || src.Schema == nil {
 		return nil, fmt.Errorf("core: nil source")
 	}
@@ -462,11 +430,9 @@ func (s *System) match(ctx context.Context, src *Source, score func([]learn.Inst
 	}
 
 	// Step 2: match each source tag: score the tag's whole column as
-	// one batch (combineBatch deduplicates repeated values and routes
-	// each learner through PredictBatch where implemented), combine
-	// with the meta-learner, convert per column. Tags fan out across
-	// the worker pool in deterministic order; results come back
-	// positionally, so the merge is identical to the serial loop.
+	// one batch (score deduplicates repeated values, routes each
+	// learner through PredictBatch where implemented and combines with
+	// the meta-learner), then convert per column.
 	tags := src.Schema.Tags()
 	batches := make([][]learn.Instance, len(tags))
 	for ti, tag := range tags {
@@ -477,10 +443,7 @@ func (s *System) match(ctx context.Context, src *Source, score func([]learn.Inst
 			batches[ti] = []learn.Instance{{TagName: tag, Path: src.Schema.PathFromRoot(tag)}}
 		}
 	}
-	perTag, err := parallel.Map(ctx, s.cfg.Workers, len(tags),
-		func(_ context.Context, ti int) ([]learn.Prediction, error) {
-			return score(batches[ti]), nil
-		})
+	perTag, err := score(ctx, batches)
 	if err != nil {
 		return nil, fmt.Errorf("core: matching %s: %w", src.Name, err)
 	}
@@ -518,82 +481,6 @@ func (s *System) match(ctx context.Context, src *Source, score func([]learn.Inst
 	res.Mapping = hres.Mapping
 	res.Handler = hres
 	return res, nil
-}
-
-// predScratch pools the per-batch base-prediction rows the stacker
-// combines, so a match allocates O(1) pooled rows per tag batch
-// instead of one row per instance.
-var predScratch pool.Preds
-
-// combineBatch scores one tag's column of instances: every learner
-// scores the whole batch (through learn.PredictAll, which uses
-// PredictBatch where implemented), then the stacker combines per
-// instance. Duplicate instances — a column's values repeat across
-// listings — are scored and combined once and share the resulting
-// prediction, which is read-only by the Predict contract; values seen
-// in earlier batches or requests come out of the system's combined
-// memo without touching any learner. Leaf and text-only instances key
-// on (tag, path, content), which covers every feature any learner
-// reads (see instanceKey); interior nodes key on their full serialized
-// subtree (see interiorKey).
-func (s *System) combineBatch(batch []learn.Instance) []learn.Prediction {
-	out := make([]learn.Prediction, len(batch))
-	if len(batch) == 0 {
-		return out
-	}
-	pos := make([]int, len(batch))
-	idx := make(map[string]int, len(batch))
-	uniq := make([]learn.Instance, 0, len(batch))
-	keys := make([]string, 0, len(batch))
-	for i, in := range batch {
-		var key string
-		if in.Node != nil && !in.Node.IsLeaf() {
-			key = interiorKey(in.Path, in.Node)
-		} else {
-			key = instanceKey(in.TagName, in.Path, in.Content)
-		}
-		u, ok := idx[key]
-		if !ok {
-			u = len(uniq)
-			idx[key] = u
-			uniq = append(uniq, in)
-			keys = append(keys, key)
-		}
-		pos[i] = u
-	}
-	combined := make([]learn.Prediction, len(uniq))
-	// Cross-request reuse: a unique instance whose combined prediction
-	// is already memoized skips every learner and the stacker. Only the
-	// misses are scored below.
-	missIns := uniq[:0:0]
-	var missSlots []int
-	for u, in := range uniq {
-		if p, ok := s.combined.Get(keys[u]); ok {
-			combined[u] = p
-			continue
-		}
-		missIns = append(missIns, in)
-		missSlots = append(missSlots, u)
-	}
-	if len(missIns) > 0 {
-		perLearner := make([][]learn.Prediction, len(s.learners))
-		for j, l := range s.learners {
-			perLearner[j] = learn.PredictAll(l, missIns)
-		}
-		base := predScratch.Get(len(s.learners))
-		for mi, u := range missSlots {
-			for j := range perLearner {
-				base[j] = perLearner[j][mi]
-			}
-			combined[u] = s.stacker.Combine(base)
-			s.combined.Put(keys[u], combined[u])
-		}
-		predScratch.Put(base)
-	}
-	for i := range batch {
-		out[i] = combined[pos[i]]
-	}
-	return out
 }
 
 // CollectColumns extracts, for each source tag, the column of element

@@ -146,6 +146,7 @@ func FromState(st *SystemState, workers int) (*System, error) {
 		for _, l := range sys.learners {
 			if xl, ok := l.(*xmllearner.Learner); ok {
 				xl.SetMatchLabeler(labeler)
+				sys.labeler = labeler
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -232,25 +233,28 @@ const normBuf = 128
 // The scores are summed in ascending value order, not id order: the
 // order fixes the sum's rounding, and every pinned score, stacking
 // weight and artifact was computed with this order, which also leaves
-// the sum independent of label numbering.
+// the sum independent of label numbering. Non-negative floats order
+// like their bit patterns, so the values sort as uint64s, which is
+// cheaper than a float sort and gives the same sum bit for bit: a -0.0
+// sorts last instead of among the zeros, and adding it changes no sum.
 func (p Prediction) Normalize() Prediction {
 	s := p.scores
-	var buf [normBuf]float64
+	var buf [normBuf]uint64
 	vals := buf[:0]
 	if len(s) > len(buf) {
-		vals = make([]float64, 0, len(s))
+		vals = make([]uint64, 0, len(s))
 	}
 	for id, v := range s {
 		if v < 0 {
 			s[id] = 0
 		} else {
-			vals = append(vals, v)
+			vals = append(vals, math.Float64bits(v))
 		}
 	}
-	sort.Float64s(vals)
+	slices.Sort(vals)
 	sum := 0.0
 	for _, v := range vals {
-		sum += v
+		sum += math.Float64frombits(v)
 	}
 	if sum == 0 {
 		if len(s) == 0 {

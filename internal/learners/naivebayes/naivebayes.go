@@ -258,14 +258,25 @@ func (l *Learner) PredictBatch(ins []learn.Instance) []learn.Prediction {
 	return out
 }
 
-// PredictBag computes the posterior for an explicit token bag.
-// Arithmetic is in log space over the precomputed tables; the result
-// is soft-maxed back to a normalized confidence distribution.
+// PredictBag computes the posterior for an explicit token bag: the
+// bag projected onto the vocabulary and scored by PredictSparse.
 func (l *Learner) PredictBag(bag text.Bag) learn.Prediction {
 	if l.numDocs == 0 {
 		return learn.Uniform(l.labels)
 	}
-	sb := l.vocab.SparseBag(bag)
+	return l.PredictSparse(l.vocab.SparseBag(bag))
+}
+
+// PredictSparse computes the posterior for a bag already projected
+// onto the vocabulary (ids ascending, as Vocab.SparseBag returns
+// them). Arithmetic is in log space over the precomputed tables; each
+// label's score sums the prior, the terms in ascending-id order, then
+// the OOV constant, and is soft-maxed back to a normalized confidence
+// distribution.
+func (l *Learner) PredictSparse(sb text.SparseBag) learn.Prediction {
+	if l.numDocs == 0 {
+		return learn.Uniform(l.labels)
+	}
 	// Each score slot holds its label's log score until the soft-max
 	// below turns it into a likelihood ratio.
 	p := learn.NewPrediction(l.labels)
@@ -288,6 +299,10 @@ func (l *Learner) PredictBag(bag text.Bag) learn.Prediction {
 	}
 	return p.Normalize()
 }
+
+// Vocab returns the trained vocabulary, nil before training. It is
+// read-only: the XML learner indexes its structural tokens by it.
+func (l *Learner) Vocab() *text.Vocab { return l.vocab }
 
 // LogLikelihood returns log P(bag|c) + log P(c) for diagnostics. An
 // unknown label gets the likelihood of a label never seen in training.

@@ -16,8 +16,8 @@ package xmllearner
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
+	"strings"
 
 	"repro/internal/learn"
 	"repro/internal/learners/naivebayes"
@@ -29,70 +29,6 @@ import (
 // replaced with this placeholder so the learner never keys on the
 // source-specific root tag.
 const genericRoot = "d"
-
-// maxTokMemo bounds each structural-token memo below. Real corpora
-// draw from a few hundred labels and a few thousand words; the bound
-// only caps memory on adversarial input, after which tokens are built
-// directly.
-const maxTokMemo = 1 << 15
-
-// The structural-token memos cache the prefixed map keys the walk
-// emits ("w:"+word, "n:"+label, "e:"+parent+">"+child): building them
-// with string concatenation on every occurrence was the single largest
-// allocation site of the matching phase. The token strings are pure
-// functions of their parts, so the memos never affect results — a lost
-// or skipped insert only costs the concatenation — and sync.Map makes
-// them safe to share between concurrent predict workers.
-var (
-	wordTokMemo    sync.Map // word -> "w:"+word
-	wordTokMemoLen atomic.Int64
-	nodeTokMemo    sync.Map // label -> "n:"+label
-	nodeTokMemoLen atomic.Int64
-	edgeTokMemos   sync.Map // parent label -> *edgeTokMemo
-)
-
-// edgeTokMemo caches the edge tokens under one parent label.
-type edgeTokMemo struct {
-	m   sync.Map // child (label or word) -> "e:"+parent+">"+child
-	len atomic.Int64
-}
-
-func memoTok(m *sync.Map, n *atomic.Int64, key, prefix, suffix string) string {
-	if v, ok := m.Load(key); ok {
-		return v.(string)
-	}
-	s := prefix + key + suffix
-	if n.Load() < maxTokMemo {
-		if _, loaded := m.LoadOrStore(key, s); !loaded {
-			n.Add(1)
-		}
-	}
-	return s
-}
-
-func wordTok(w string) string { return memoTok(&wordTokMemo, &wordTokMemoLen, w, "w:", "") }
-
-func nodeTok(label string) string { return memoTok(&nodeTokMemo, &nodeTokMemoLen, label, "n:", "") }
-
-// edgeTok returns "e:"+parent+">"+child through the two-level memo, so
-// the steady state allocates nothing per occurrence.
-func edgeTok(parent, child string) string {
-	v, ok := edgeTokMemos.Load(parent)
-	if !ok {
-		v, _ = edgeTokMemos.LoadOrStore(parent, &edgeTokMemo{})
-	}
-	em := v.(*edgeTokMemo)
-	if s, ok := em.m.Load(child); ok {
-		return s.(string)
-	}
-	s := "e:" + parent + ">" + child
-	if em.len.Load() < maxTokMemo {
-		if _, loaded := em.m.LoadOrStore(child, s); !loaded {
-			em.len.Add(1)
-		}
-	}
-	return s
-}
 
 // NodeLabeler assigns a label to a sub-element of an instance. The
 // training phase uses the true mappings; the matching phase uses the
@@ -117,7 +53,10 @@ func (f NodeLabelerFunc) LabelNode(node *xmltree.Node, path []string) string {
 // used at matching time; the labeler used at training time is passed to
 // Train through the examples' true labels via SetTrainLabeler.
 type Learner struct {
-	nb           *naivebayes.Learner
+	nb *naivebayes.Learner
+	// index finds the ids of nb's structural tokens; built at Train and
+	// Restore, empty before.
+	index        *tokenIndex
 	trainLabeler NodeLabeler
 	matchLabeler NodeLabeler
 }
@@ -130,6 +69,7 @@ type Learner struct {
 func New(trainLabeler, matchLabeler NodeLabeler) *Learner {
 	return &Learner{
 		nb:           naivebayes.New(),
+		index:        &tokenIndex{},
 		trainLabeler: trainLabeler,
 		matchLabeler: matchLabeler,
 	}
@@ -155,7 +95,7 @@ func Restore(st *naivebayes.State) (*Learner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xmllearner: %w", err)
 	}
-	return &Learner{nb: nb}, nil
+	return &Learner{nb: nb, index: newTokenIndex(nb.Vocab())}, nil
 }
 
 // Name implements learn.Learner.
@@ -173,28 +113,60 @@ func (l *Learner) Train(labels []string, examples []learn.Example) error {
 		bags = append(bags, l.TokenBag(ex.Instance, l.trainLabeler))
 		bagLabels = append(bagLabels, ex.Label)
 	}
-	return l.nb.TrainBags(labels, bags, bagLabels)
+	if err := l.nb.TrainBags(labels, bags, bagLabels); err != nil {
+		return err
+	}
+	l.index = newTokenIndex(l.nb.Vocab())
+	return nil
 }
 
-// Predict builds the instance's structural token bag, labelling
-// sub-elements with the matching-phase labeler, and returns the Naive
-// Bayes posterior over the bag.
+// Predict builds the instance's structural token bag as vocabulary
+// ids, labelling sub-elements with the matching-phase labeler, and
+// returns the Naive Bayes posterior over the bag.
 func (l *Learner) Predict(in learn.Instance) learn.Prediction {
-	return l.nb.PredictBag(l.TokenBag(in, l.matchLabeler))
+	return l.nb.PredictSparse(l.sparseBag(in, l.matchLabeler))
 }
 
 // TokenBag generates the bag of text, node, and edge tokens for an
-// instance (Table 2 step 3 / Figure 7.f). Exposed for tests and for
-// the ablation benches.
+// instance (Table 2 step 3 / Figure 7.f), spelled as strings: the form
+// training interns. Exposed for tests and for the ablation benches.
 func (l *Learner) TokenBag(in learn.Instance, labeler NodeLabeler) text.Bag {
-	bag := text.Bag{}
+	s := sink{bag: text.Bag{}}
+	s.walk(in, labeler)
+	return s.bag
+}
+
+// sparseBag generates the same tokens as TokenBag and projects them
+// onto the trained vocabulary as it goes, so no token is spelled as a
+// string. The result equals the vocabulary's SparseBag of TokenBag's
+// bag; before training every token is out of vocabulary.
+func (l *Learner) sparseBag(in learn.Instance, labeler NodeLabeler) text.SparseBag {
+	s := sink{index: l.index, ids: make([]text.ID, 0, 64)}
+	s.walk(in, labeler)
+	return s.sparse()
+}
+
+// sink receives the tokens of one walk: the text token "w:"+word, the
+// node token "n:"+label and the edge token "e:"+parent+">"+child. With
+// bag set it spells each token as the string training interns;
+// otherwise it looks the token's id up in index, as prediction does,
+// and counts the tokens the vocabulary lacks.
+type sink struct {
+	bag   text.Bag
+	index *tokenIndex
+	ids   []text.ID
+	oov   int
+}
+
+// walk feeds the tokens of an instance's Table 2 tree to s.
+func (s *sink) walk(in learn.Instance, labeler NodeLabeler) {
 	if in.Node == nil {
 		// Fall back to plain text tokens: a flat instance has no
 		// structure, so the learner degrades to Naive Bayes.
 		for _, w := range naivebayes.Tokens(in.Content) {
-			bag[wordTok(w)]++
+			s.word(w)
 		}
-		return bag
+		return
 	}
 	// Copy the instance path into a private buffer with headroom:
 	// collect extends it in place while walking (one allocation per
@@ -202,18 +174,17 @@ func (l *Learner) TokenBag(in learn.Instance, labeler NodeLabeler) text.Bag {
 	// must not retain the path slice they are handed.
 	path := make([]string, len(in.Path), len(in.Path)+8)
 	copy(path, in.Path)
-	l.collect(in.Node, genericRoot, path, labeler, bag)
-	return bag
+	s.collect(in.Node, genericRoot, path, labeler)
 }
 
 // collect walks the children of node, whose resolved label is
-// parentLabel, adding tokens to bag. path is the tag path from the
+// parentLabel, feeding tokens to s. path is the tag path from the
 // document root to node.
-func (l *Learner) collect(node *xmltree.Node, parentLabel string, path []string, labeler NodeLabeler, bag text.Bag) {
+func (s *sink) collect(node *xmltree.Node, parentLabel string, path []string, labeler NodeLabeler) {
 	// Words directly under this node.
 	for _, w := range naivebayes.Tokens(node.Text) {
-		bag[wordTok(w)]++
-		bag[edgeTok(parentLabel, w)]++
+		s.word(w)
+		s.edge(parentLabel, w)
 	}
 	for _, child := range node.Children {
 		// Extend the shared path buffer in place; truncation on the next
@@ -228,17 +199,118 @@ func (l *Learner) collect(node *xmltree.Node, parentLabel string, path []string,
 			// Leaf sub-elements contribute their words under the
 			// parent's label plus, when labelled, a node token.
 			if labeler != nil {
-				bag[nodeTok(label)]++
-				bag[edgeTok(parentLabel, label)]++
+				s.node(label)
+				s.edge(parentLabel, label)
 			}
 			for _, w := range naivebayes.Tokens(child.Text) {
-				bag[wordTok(w)]++
-				bag[edgeTok(label, w)]++
+				s.word(w)
+				s.edge(label, w)
 			}
 			continue
 		}
-		bag[nodeTok(label)]++
-		bag[edgeTok(parentLabel, label)]++
-		l.collect(child, label, childPath, labeler, bag)
+		s.node(label)
+		s.edge(parentLabel, label)
+		s.collect(child, label, childPath, labeler)
 	}
+}
+
+func (s *sink) word(w string) {
+	if s.bag != nil {
+		s.bag["w:"+w]++
+		return
+	}
+	id, ok := s.index.word[w]
+	s.add(id, ok)
+}
+
+func (s *sink) node(label string) {
+	if s.bag != nil {
+		s.bag["n:"+label]++
+		return
+	}
+	id, ok := s.index.node[label]
+	s.add(id, ok)
+}
+
+func (s *sink) edge(parent, child string) {
+	if s.bag != nil {
+		s.bag["e:"+parent+">"+child]++
+		return
+	}
+	id, ok := s.index.edge[parent][child]
+	s.add(id, ok)
+}
+
+func (s *sink) add(id text.ID, ok bool) {
+	if ok {
+		s.ids = append(s.ids, id)
+	} else {
+		s.oov++
+	}
+}
+
+// sparse returns the collected ids as a sparse bag: ascending ids,
+// each with its count, and the out-of-vocabulary total.
+func (s *sink) sparse() text.SparseBag {
+	sb := text.SparseBag{OOV: s.oov}
+	if len(s.ids) == 0 {
+		return sb
+	}
+	slices.Sort(s.ids)
+	n := 1
+	for i := 1; i < len(s.ids); i++ {
+		if s.ids[i] != s.ids[i-1] {
+			n++
+		}
+	}
+	sb.Terms = make([]text.IDCount, 0, n)
+	for _, id := range s.ids {
+		if k := len(sb.Terms) - 1; k >= 0 && sb.Terms[k].ID == id {
+			sb.Terms[k].N++
+		} else {
+			sb.Terms = append(sb.Terms, text.IDCount{ID: id, N: 1})
+		}
+	}
+	return sb
+}
+
+// tokenIndex finds a structural token's vocabulary id from its parts.
+// The zero index is empty: every lookup misses.
+type tokenIndex struct {
+	word map[string]text.ID            // "w:"+word
+	node map[string]text.ID            // "n:"+label
+	edge map[string]map[string]text.ID // "e:"+parent+">"+child, by parent then child
+}
+
+// newTokenIndex indexes the structural tokens of v. An edge token is
+// entered under every split at a '>', so a lookup is exact whatever
+// the parts contain; labels, tags and words contain no '>', so in
+// practice each edge token has exactly one split, at its first '>'.
+func newTokenIndex(v *text.Vocab) *tokenIndex {
+	ix := &tokenIndex{
+		word: make(map[string]text.ID),
+		node: make(map[string]text.ID),
+		edge: make(map[string]map[string]text.ID),
+	}
+	for id := 0; id < v.Len(); id++ {
+		tok := v.Token(text.ID(id))
+		if w, ok := strings.CutPrefix(tok, "w:"); ok {
+			ix.word[w] = text.ID(id)
+		} else if label, ok := strings.CutPrefix(tok, "n:"); ok {
+			ix.node[label] = text.ID(id)
+		} else if e, ok := strings.CutPrefix(tok, "e:"); ok {
+			for i := 0; i < len(e); i++ {
+				if e[i] != '>' {
+					continue
+				}
+				children := ix.edge[e[:i]]
+				if children == nil {
+					children = make(map[string]text.ID)
+					ix.edge[e[:i]] = children
+				}
+				children[e[i+1:]] = text.ID(id)
+			}
+		}
+	}
+	return ix
 }
