@@ -70,9 +70,12 @@ EOM
 fi
 rm -f "$supfile"
 
-# bench-smoke: re-measure the predict micro-benchmarks and fail on an
-# allocs/op regression beyond tolerance against the latest committed
-# bench/BENCH_*.json baseline. Catches accidental reintroduction of
+# bench-smoke: re-measure the micro-benchmarks and fail on an allocs/op
+# regression beyond tolerance against the latest committed
+# bench/BENCH_*.json baseline. The gated ops are the three base-learner
+# predicts, the constraint handler on each domain (ConstraintRun/*)
+# and the request-body XML parse (ParseListings/RealEstateI and
+# ParseListings/RealEstateII). Catches accidental reintroduction of
 # per-call allocation on the hot paths without requiring a full bench
 # run.
 go run ./cmd/lsdbench -exp micro -smoke bench

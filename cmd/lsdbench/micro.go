@@ -12,6 +12,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/learn"
+	"repro/internal/xmltree"
 )
 
 // Micro-benchmarks of the hot pipeline stages, mirroring the
@@ -33,6 +34,8 @@ var microIters = map[string]int{
 	"ConstraintRun/TimeSchedule":    100,
 	"ConstraintRun/FacultyListings": 300,
 	"ConstraintRun/RealEstateII":    40,
+	"ParseListings/RealEstateI":     400,
+	"ParseListings/RealEstateII":    200,
 }
 
 // measureMicro times n iterations of fn and records ns/op, allocs/op,
@@ -157,6 +160,22 @@ func runMicro() ([]benchRecord, error) {
 			}
 		}))
 	}
+
+	// The request's XML parse alone: one serialized 20-listing source-4
+	// body per domain, as servebench's warm and wide workloads post.
+	for _, d := range []*datagen.Domain{datagen.RealEstateI(), datagen.RealEstateII()} {
+		op := "ParseListings/" + strings.ReplaceAll(d.Name, " ", "")
+		var body strings.Builder
+		for _, l := range d.Sources()[3].Generate(20, 1).Listings {
+			body.WriteString(l.String())
+		}
+		xml := body.String()
+		records = append(records, measureMicro(op, microIters[op], func() {
+			if _, err := xmltree.ParseAll(strings.NewReader(xml)); err != nil {
+				panic(err)
+			}
+		}))
+	}
 	return records, nil
 }
 
@@ -213,9 +232,9 @@ const (
 )
 
 // smokeOps are the ops the bench-smoke gate compares: the predict
-// micro-benches and the per-domain constraint-handler runs, whose
-// fixed-N allocation counts are stable enough to gate on. Train/Match
-// are recorded but informational.
+// micro-benches, the per-domain constraint-handler runs and the
+// request-body parses, whose fixed-N allocation counts are stable
+// enough to gate on. Train/Match are recorded but informational.
 var smokeOps = map[string]bool{
 	"NaiveBayesPredict":             true,
 	"NameMatcherPredict":            true,
@@ -224,6 +243,8 @@ var smokeOps = map[string]bool{
 	"ConstraintRun/TimeSchedule":    true,
 	"ConstraintRun/FacultyListings": true,
 	"ConstraintRun/RealEstateII":    true,
+	"ParseListings/RealEstateI":     true,
+	"ParseListings/RealEstateII":    true,
 }
 
 // benchSmoke compares fresh micro-bench records against the latest

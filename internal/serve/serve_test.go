@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -232,14 +233,39 @@ func TestMatchErrors(t *testing.T) {
 		}
 	})
 	t.Run("trailing garbage", func(t *testing.T) {
+		// A stray closing delimiter is trailing data too, though
+		// json.Decoder.More reports none before it. The bodies name an
+		// unknown model, so only the body check can answer 400.
+		for _, tc := range []struct{ path, body string }{
+			{"/v1/match", `{"model":"ghost","dtd":"x"} extra`},
+			{"/v1/match", `{"model":"ghost","dtd":"x"}}`},
+			{"/v1/match", `{"model":"ghost","dtd":"x"}]`},
+			{"/v1/match", `{"model":"ghost","dtd":"x"}]garbage`},
+			{"/v1/batch", `{"requests":[{"model":"ghost","dtd":"x"}]}]`},
+		} {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "bad request body") {
+				t.Errorf("%s %s: status %d, body %s; want 400, bad request body", tc.path, tc.body, resp.StatusCode, raw)
+			}
+		}
+	})
+	t.Run("trailing white space", func(t *testing.T) {
 		resp, err := http.Post(ts.URL+"/v1/match", "application/json",
-			strings.NewReader(`{"model":"houses","dtd":"x"} extra`))
+			strings.NewReader("{\"model\":\"ghost\",\"dtd\":\"x\"} \n\t"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", resp.StatusCode)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("status %d, want 404 (the body decodes; the model is unknown)", resp.StatusCode)
 		}
 	})
 	t.Run("wrong method", func(t *testing.T) {

@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
-
-	"path/filepath"
 
 	"repro/internal/core"
 	"repro/internal/dtd"
@@ -189,8 +189,9 @@ func decodeBody(r *http.Request, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	// A second value means trailing garbage.
-	if dec.More() {
+	// Anything but white space after the value is trailing data. More
+	// would not do: it reports false before a stray ']' or '}'.
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("unexpected data after JSON body")
 	}
 	return nil

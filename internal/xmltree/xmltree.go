@@ -1,6 +1,13 @@
 // Package xmltree provides the XML instance model used throughout LSD:
-// a lightweight element tree with a parser built on encoding/xml,
-// serialization, and the path/depth utilities the learners need.
+// a lightweight element tree, a parser, serialization, and the
+// path/depth utilities the learners need.
+//
+// The parser is a byte scanner over the whole input (scan.go). It
+// accepts exactly what encoding/xml's Decoder accepts in strict mode,
+// read token by token, and builds the same trees: each run of character
+// data between two pieces of markup is trimmed and the non-empty runs
+// are joined with one space. Texts and tags are copies, so no node keeps
+// its input alive. Errors name the line.
 //
 // Per the paper (§2.1), attributes and sub-elements are treated in the
 // same fashion: each attribute of an element is modelled as an
@@ -64,6 +71,9 @@ func (n *Node) Size() int {
 // Content returns the concatenation of all text in the subtree rooted
 // at n, in document order, separated by single spaces.
 func (n *Node) Content() string {
+	if len(n.Children) == 0 {
+		return n.Text
+	}
 	var parts []string
 	n.walkContent(&parts)
 	return strings.Join(parts, " ")
@@ -170,78 +180,38 @@ func escape(s string) string {
 // Attributes are converted to leaf children, matching the paper's
 // uniform treatment of attributes and sub-elements.
 func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	var stack []*Node
-	var root *Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := &Node{Tag: t.Name.Local}
-			for _, a := range t.Attr {
-				n.AddChild(New(a.Name.Local, a.Value))
-			}
-			if len(stack) > 0 {
-				stack[len(stack)-1].AddChild(n)
-			} else if root == nil {
-				root = n
-			} else {
-				return nil, fmt.Errorf("xmltree: multiple root elements")
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end tag %q", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) == 0 {
-				continue
-			}
-			txt := strings.TrimSpace(string(t))
-			if txt == "" {
-				continue
-			}
-			top := stack[len(stack)-1]
-			if top.Text == "" {
-				top.Text = txt
-			} else {
-				top.Text += " " + txt
-			}
-		}
+	data, err := readAll(r)
+	if err != nil {
+		return nil, err
 	}
-	if root == nil {
-		return nil, fmt.Errorf("xmltree: empty document")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: unclosed element %q", stack[len(stack)-1].Tag)
-	}
-	return root, nil
+	return parseDocument(data)
 }
 
 // ParseString parses an XML document held in a string.
 func ParseString(s string) (*Node, error) {
-	return Parse(strings.NewReader(s))
+	return parseDocument([]byte(s))
 }
 
-// ParseAll reads a stream of sibling XML documents (e.g. a file of
-// house listings) and returns their roots in order.
-func ParseAll(r io.Reader) ([]*Node, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("xmltree: read: %w", err)
-	}
-	// Wrap in a synthetic root so the decoder accepts multiple siblings.
-	wrapped := "<lsd-stream>" + string(data) + "</lsd-stream>"
-	root, err := ParseString(wrapped)
+func parseDocument(data []byte) (*Node, error) {
+	s := scanner{data: data, single: true}
+	roots, err := s.run()
 	if err != nil {
 		return nil, err
 	}
-	return root.Children, nil
+	if len(roots) == 0 {
+		return nil, s.errorAt(len(data), "empty document")
+	}
+	return roots[0], nil
+}
+
+// ParseAll reads a stream of sibling XML documents (e.g. a file of
+// house listings) and returns their roots in order. Input without an
+// element gives no roots and no error.
+func ParseAll(r io.Reader) ([]*Node, error) {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	s := scanner{data: data}
+	return s.run()
 }
