@@ -15,11 +15,11 @@ import (
 // allocated, and the worker count it fanned out on. CI uploads these
 // so the repo's performance trajectory is recorded run over run.
 type benchRecord struct {
-	Op          string `json:"op"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp uint64 `json:"allocs_per_op"`
-	BytesPerOp  uint64 `json:"bytes_per_op,omitempty"`
-	Workers     int    `json:"workers"`
+	Op          string  `json:"op"`
+	NsPerOp     int64   `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  uint64  `json:"bytes_per_op,omitempty"`
+	Workers     int     `json:"workers"`
 
 	// Serving-benchmark fields (-exp serve): request-latency
 	// percentiles and sustained throughput over concurrent clients.

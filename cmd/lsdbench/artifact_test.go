@@ -112,3 +112,39 @@ func TestLatestBenchArtifactFiltersOps(t *testing.T) {
 		t.Errorf("no-match lookup = %v, %s, %v; want nil baseline", records, path, err)
 	}
 }
+
+// TestBenchSmokeFractionalAllocs gates fractional allocs/op readings
+// against a baseline that records an integer, as the committed
+// artifacts do, and requires every committed artifact to parse.
+func TestBenchSmokeFractionalAllocs(t *testing.T) {
+	dir := t.TempDir()
+	base := `[{"op": "NaiveBayesPredict", "ns_per_op": 2139, "allocs_per_op": 5, "workers": 1}]`
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_1.json"), []byte(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The limit is 5 × 1.25 + 16 = 22.25 allocations.
+	for _, tc := range []struct {
+		allocs float64
+		pass   bool
+	}{{5.8, true}, {22.25, true}, {22.26, false}} {
+		err := benchSmoke([]benchRecord{{Op: "NaiveBayesPredict", AllocsPerOp: tc.allocs}}, dir)
+		if (err == nil) != tc.pass {
+			t.Errorf("allocs/op %g against baseline 5: gate error %v, want pass %v", tc.allocs, err, tc.pass)
+		}
+	}
+
+	committed, err := filepath.Glob(filepath.Join("..", "..", "bench", "BENCH_*.json"))
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("no committed artifacts found: %v", err)
+	}
+	for _, path := range committed {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var records []benchRecord
+		if err := json.Unmarshal(data, &records); err != nil {
+			t.Errorf("%s does not parse: %v", path, err)
+		}
+	}
+}

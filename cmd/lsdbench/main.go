@@ -85,7 +85,7 @@ func main() {
 		records = append(records, benchRecord{
 			Op:          name,
 			NsPerOp:     elapsed.Nanoseconds(),
-			AllocsPerOp: after.Mallocs - before.Mallocs,
+			AllocsPerOp: float64(after.Mallocs - before.Mallocs),
 			Workers:     parallel.Workers(*workers),
 		})
 	}

@@ -39,7 +39,9 @@ var microIters = map[string]int{
 }
 
 // measureMicro times n iterations of fn and records ns/op, allocs/op,
-// and bytes/op from the runtime's monotonic allocation counters. One
+// and bytes/op from the runtime's monotonic allocation counters.
+// allocs/op keeps its fraction: an op whose mean sits near an integer
+// would otherwise read one allocation more or less from run to run. One
 // untimed warm-up call lets lazy structures (prediction caches, interim
 // labelers) reach steady state, matching how the testing package's
 // auto-scaling amortizes them.
@@ -57,7 +59,7 @@ func measureMicro(name string, n int, fn func()) benchRecord {
 	return benchRecord{
 		Op:          name,
 		NsPerOp:     elapsed.Nanoseconds() / int64(n),
-		AllocsPerOp: (after.Mallocs - before.Mallocs) / uint64(n),
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(n),
 		BytesPerOp:  (after.TotalAlloc - before.TotalAlloc) / uint64(n),
 		Workers:     1,
 	}
@@ -216,7 +218,7 @@ func micro() []benchRecord {
 	fmt.Println("micro-benchmarks (fixed iteration counts, serial):")
 	fmt.Printf("%-30s %14s %12s %12s\n", "op", "ns/op", "allocs/op", "bytes/op")
 	for _, r := range records {
-		fmt.Printf("%-30s %14d %12d %12d\n", r.Op, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
+		fmt.Printf("%-30s %14d %12.2f %12d\n", r.Op, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
 	}
 	fmt.Println()
 	return records
@@ -274,10 +276,10 @@ func benchSmoke(records []benchRecord, dir string) error {
 		if !ok {
 			continue
 		}
-		limit := uint64(float64(b.AllocsPerOp)*smokeFactor) + smokeSlack
+		limit := b.AllocsPerOp*smokeFactor + smokeSlack
 		if r.AllocsPerOp > limit {
 			regressions = append(regressions, fmt.Sprintf(
-				"%s: allocs/op %d exceeds limit %d (baseline %d in %s)",
+				"%s: allocs/op %.2f exceeds limit %.2f (baseline %g in %s)",
 				r.Op, r.AllocsPerOp, limit, b.AllocsPerOp, path))
 		}
 	}

@@ -142,7 +142,7 @@ func hammer(url string, body []byte, clients, total int) (benchRecord, error) {
 	return benchRecord{
 		Op:          fmt.Sprintf("Serve/c%d", clients),
 		NsPerOp:     elapsed.Nanoseconds() / int64(total),
-		AllocsPerOp: (after.Mallocs - before.Mallocs) / uint64(total),
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(total),
 		BytesPerOp:  (after.TotalAlloc - before.TotalAlloc) / uint64(total),
 		Workers:     1,
 		Clients:     clients,
@@ -170,7 +170,7 @@ func serveExp(workers int) []benchRecord {
 	fmt.Println("serving benchmark (POST /v1/match, in-process server):")
 	fmt.Printf("%-10s %8s %12s %12s %12s %10s %12s\n", "op", "clients", "p50", "p95", "p99", "qps", "allocs/op")
 	for _, r := range records {
-		fmt.Printf("%-10s %8d %12s %12s %12s %10.1f %12d\n", r.Op, r.Clients,
+		fmt.Printf("%-10s %8d %12s %12s %12s %10.1f %12.1f\n", r.Op, r.Clients,
 			time.Duration(r.P50Ns).Round(time.Microsecond),
 			time.Duration(r.P95Ns).Round(time.Microsecond),
 			time.Duration(r.P99Ns).Round(time.Microsecond),

@@ -19,7 +19,7 @@
 // -checks selects analyzers by name: a comma-separated list keeps
 // only those analyzers, and !-prefixed names exclude from the full
 // suite instead ("-checks hotalloc,statecodec" or
-// "-checks !sharedread"); an unknown name is a usage error. -timing
+// "-checks !poolescape"); an unknown name is a usage error. -timing
 // prints each analyzer's cumulative wall-clock cost to stderr — or,
 // with -format json, folds it into the output document as a "timings"
 // array plus "total_ms", the shape CI archives beside the SARIF log —
@@ -37,8 +37,8 @@
 // run diffs against a partial baseline.
 //
 // -debug-summaries dumps the interprocedural mutation/escape
-// summaries (internal/analysis mutsum) that sharedread, poolescape,
-// cowstore, workerpure, and hotalloc reason with, as a JSON array to
+// summaries (internal/analysis mutsum) that poolescape, cowstore,
+// workerpure, and hotalloc reason with, as a JSON array to
 // stdout, instead of linting — one record per summarized function with
 // its per-slot mutated, appended, and escaping paths. CI archives the
 // dump beside the SARIF log so analyzer findings can be traced back to

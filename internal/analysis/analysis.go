@@ -18,11 +18,6 @@
 //     main packages, and sync.Mutex/RWMutex only in internal/memo
 //     and internal/serve (concurrency stays in the packages built for
 //     it, so no lock-order cycle can form).
-//   - normalizedpred: learn.Prediction values built with
-//     learn.NewPrediction in an exported function are normalized
-//     before they cross the package boundary;
-//     returns through unexported helpers are followed one summary
-//     level deep.
 //   - workerpure: closures handed to parallel.Map/ForEach write
 //     nothing but their own locals and their own result slot,
 //     transitively through their callees.
@@ -46,10 +41,6 @@
 //   - errflow: errors from io/json/artifact/parallel calls in request-
 //     or codec-reachable code are checked, returned, or explicitly
 //     suppressed, never silently discarded.
-//   - sharedread: values returned by `// lint:shared` functions (the
-//     WHIRL cache-hit path, Learner.Predict) are read-only — no caller
-//     may mutate them, directly or through a callee that writes its
-//     parameter.
 //   - poolescape: values from sync.Pool.Get or `// lint:scratch`
 //     accessors are released back to the pool and never escape the
 //     acquiring function (fields, caches, goroutines, returns).
@@ -60,12 +51,12 @@
 // ctxflow and errflow share the value-flow substrate in flow.go:
 // def-use chains inside a function, plus interprocedural param→sink
 // and param→result summaries over the static call graph.
-// sharedread, poolescape, and cowstore share the mutation/escape
-// summary substrate in mutsum.go: per-function summaries of which
-// parameters a function mutates (and through which field/element
-// paths) and which escape, iterated to fixpoint over the call graph;
-// workerpure and hotalloc consult the same summaries to see writes and
-// appends a callee performs on a worker's or hot path's behalf.
+// poolescape and cowstore share the mutation/escape summary substrate
+// in mutsum.go: per-function summaries of which parameters a function
+// mutates (and through which field/element paths) and which escape,
+// iterated to fixpoint over the call graph; workerpure and hotalloc
+// consult the same summaries to see writes and appends a callee
+// performs on a worker's or hot path's behalf.
 //
 // Findings can be suppressed with a justified directive on (or
 // immediately above) the offending line:
@@ -144,7 +135,6 @@ func DefaultAnalyzers() []*Analyzer {
 		MapRangeFloat,
 		SeedFlow,
 		Confine,
-		NormalizedPred,
 		WorkerPure,
 		StateCodec,
 		SnapshotOnce,
@@ -152,7 +142,6 @@ func DefaultAnalyzers() []*Analyzer {
 		HotAlloc,
 		CtxFlow,
 		ErrFlow,
-		SharedRead,
 		PoolEscape,
 		CowStore,
 	}

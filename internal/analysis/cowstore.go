@@ -125,7 +125,7 @@ func checkCowStore(pass *Pass, d *FuncDecl, sources map[*types.Func]bool, sums m
 
 	// snapshots are the variables holding Load results (or values from
 	// snapshot-accessor helpers), read-only from birth.
-	snapshots := trackedVars(d, func(call *ast.CallExpr) (string, bool) {
+	snapshots := track(d, func(call *ast.CallExpr) (string, bool) {
 		if isAtomicPointerLoad(info, call) {
 			return "atomic.Pointer.Load", true
 		}
@@ -133,7 +133,7 @@ func checkCowStore(pass *Pass, d *FuncDecl, sources map[*types.Func]bool, sums m
 			return funcDisplayName(fn), true
 		}
 		return "", false
-	})
+	}).vars
 
 	// frozen classifies a write root: published-and-past-publication or
 	// a snapshot. No early-out on empty published/snapshots sets: the

@@ -29,7 +29,6 @@ func TestGolden(t *testing.T) {
 		{"maprangefloat", analysis.MapRangeFloat},
 		{"seedflow", analysis.SeedFlow},
 		{"confine", analysis.Confine},
-		{"normalizedpred", analysis.NormalizedPred},
 		{"workerpure", analysis.WorkerPure},
 		{"statecodec", analysis.StateCodec},
 		{"snapshotonce", analysis.SnapshotOnce},
@@ -37,7 +36,6 @@ func TestGolden(t *testing.T) {
 		{"hotalloc", analysis.HotAlloc},
 		{"ctxflow", analysis.CtxFlow},
 		{"errflow", analysis.ErrFlow},
-		{"sharedread", analysis.SharedRead},
 		{"poolescape", analysis.PoolEscape},
 		{"cowstore", analysis.CowStore},
 	}

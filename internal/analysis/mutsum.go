@@ -23,9 +23,9 @@ package analysis
 // posture the rest of the suite takes; analyzers that need soundness
 // against them consult Program.HasUnresolvedCalls.
 //
-// sharedread, poolescape, and cowstore are built on these summaries,
-// and workerpure/hotalloc consult them to see writes a callee performs
-// on their behalf.
+// poolescape and cowstore are built on these summaries, and
+// workerpure/hotalloc consult them to see writes a callee performs on
+// their behalf.
 
 import (
 	"go/ast"
@@ -128,6 +128,31 @@ func isRefType(t types.Type) bool {
 	switch t.Underlying().(type) {
 	case *types.Pointer, *types.Map, *types.Slice, *types.Chan, *types.Signature, *types.Interface:
 		return true
+	}
+	return false
+}
+
+// sharesState reports whether copies of a value of type t share state,
+// so that a write through one copy shows through the others: the
+// reference types of isRefType, and structs and arrays that hold one.
+// Copying a struct that holds a slice copies the slice header, not
+// the elements, so a local copy of such a parameter aliases it.
+func sharesState(t types.Type) bool {
+	if isRefType(t) {
+		return true
+	}
+	if t == nil {
+		return false
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if sharesState(u.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Array:
+		return sharesState(u.Elem())
 	}
 	return false
 }
@@ -657,55 +682,35 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 // trackInfo describes one tracked local: where and from which source
 // function its value was acquired, and where inside the variable the
 // source value sits — "" means the variable itself holds it, "[*]"
-// means it sits in an element of the variable (the
-// preds[i] = l.Predict(in) pattern stores shared values in a
-// container; tracking the container keeps them visible). Paths
-// collapse indices, so any element stands for all of them.
+// means it sits in an element of the variable (bufs[i] = pool.Get()
+// stores acquired values in a container; tracking the container keeps
+// them visible). Paths collapse indices, so any element stands for all
+// of them.
 type trackInfo struct {
 	desc string
 	pos  token.Pos
 	path string
 }
 
-// trackSpec configures value tracking (track): which calls produce a
-// tracked value, which types carry it, and which calls hand on an
-// operand's state.
-type trackSpec struct {
-	// source matches the calls whose result is tracked, naming them.
-	source func(*ast.CallExpr) (string, bool)
-	// ref reports whether copies of a value of the type share state, so
-	// that holding a copy is holding the tracked value. Only such values
-	// are tracked.
-	ref func(types.Type) bool
-	// carries returns the operands of a call whose state the call's
-	// result shares — an accessor that returns its receiver's slice; nil
-	// when no call does.
-	carries func(*ast.CallExpr) []ast.Expr
-}
-
 // tracker holds one function's tracked locals.
 type tracker struct {
 	info *types.Info
-	spec trackSpec
+	// source matches the calls whose result is tracked, naming them.
+	source func(*ast.CallExpr) (string, bool)
 	// vars maps each tracked local to where and how it holds the value.
 	vars map[*types.Var]trackInfo
 }
 
-// trackedVars collects, flow-insensitively, the local variables of d
-// whose reference-typed value derives from a call matched by isSource
-// — directly, through alias assignments and multi-value binds, or via
-// storage into an element or field of a local container — returning
-// var → acquisition info. Used by poolescape (values from
+// track collects, flow-insensitively, the local variables of d whose
+// reference-typed value derives from a call matched by isSource —
+// directly, through alias assignments and multi-value binds, or via
+// storage into an element or field of a local container — into the
+// tracker's var → acquisition info. Used by poolescape (values from
 // sync.Pool.Get / lint:scratch accessors) and cowstore
-// (atomic.Pointer.Load snapshots); sharedread tracks with its own spec.
-func trackedVars(d *FuncDecl, isSource func(*ast.CallExpr) (string, bool)) map[*types.Var]trackInfo {
-	return track(d, trackSpec{source: isSource, ref: isRefType}).vars
-}
-
-// track runs trackedVars' collection under spec.
-func track(d *FuncDecl, spec trackSpec) *tracker {
+// (atomic.Pointer.Load snapshots).
+func track(d *FuncDecl, isSource func(*ast.CallExpr) (string, bool)) *tracker {
 	info := d.Pkg.Info
-	t := &tracker{info: info, spec: spec, vars: make(map[*types.Var]trackInfo)}
+	t := &tracker{info: info, source: isSource, vars: make(map[*types.Var]trackInfo)}
 	tracked := t.vars
 	bind := func(lhs ast.Expr, ti trackInfo) {
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
@@ -717,7 +722,7 @@ func track(d *FuncDecl, spec trackSpec) *tracker {
 				obj = info.Uses[id]
 			}
 			v, ok := obj.(*types.Var)
-			if !ok || !spec.ref(v.Type()) {
+			if !ok || !isRefType(v.Type()) {
 				return
 			}
 			if isPackageLevel(v) {
@@ -737,7 +742,7 @@ func track(d *FuncDecl, spec trackSpec) *tracker {
 		// source value.
 		p := peelRef(info, lhs)
 		v, ok := p.obj.(*types.Var)
-		if !ok || isPackageLevel(v) || p.path == "" || !spec.ref(info.TypeOf(lhs)) {
+		if !ok || isPackageLevel(v) || p.path == "" || !isRefType(info.TypeOf(lhs)) {
 			return
 		}
 		ti.path = joinPath(p.path, ti.path)
@@ -807,21 +812,14 @@ func track(d *FuncDecl, spec trackSpec) *tracker {
 }
 
 // value reports whether e evaluates to a tracked value — a source
-// call's result, state inside a tracked local, or an accessor's result
-// over either — or to a container holding one deeper in, and where
-// (trackInfo.path, "" for the value itself).
+// call's result or state inside a tracked local — or to a container
+// holding one deeper in, and where (trackInfo.path, "" for the value
+// itself).
 func (t *tracker) value(e ast.Expr) (trackInfo, bool) {
 	p := peelRef(t.info, e)
 	if p.call != nil {
-		if desc, ok := t.spec.source(p.call); ok {
+		if desc, ok := t.source(p.call); ok {
 			return trackInfo{desc: desc, pos: p.call.Pos()}, true
-		}
-		if t.spec.carries != nil {
-			for _, op := range t.spec.carries(p.call) {
-				if ti, ok := t.value(op); ok && ti.path == "" {
-					return ti, true
-				}
-			}
 		}
 		return trackInfo{}, false
 	}
@@ -830,7 +828,7 @@ func (t *tracker) value(e ast.Expr) (trackInfo, bool) {
 		return trackInfo{}, false
 	}
 	ti, ok := t.vars[v]
-	if !ok || !t.spec.ref(t.info.TypeOf(e)) {
+	if !ok || !isRefType(t.info.TypeOf(e)) {
 		return trackInfo{}, false
 	}
 	switch {

@@ -169,7 +169,7 @@ func poolReleasers(prog *Program) map[*types.Func]map[int]bool {
 // checkPoolEscapes verifies one function's use of acquired scratch.
 func checkPoolEscapes(pass *Pass, d *FuncDecl, accessors map[*types.Func]bool, releasers map[*types.Func]map[int]bool, sums map[*types.Func]*MutSummary) {
 	info := d.Pkg.Info
-	tracked := trackedVars(d, func(call *ast.CallExpr) (string, bool) {
+	tracked := track(d, func(call *ast.CallExpr) (string, bool) {
 		if isPoolMethod(info, call, "Get") {
 			return "sync.Pool.Get", true
 		}
@@ -177,7 +177,7 @@ func checkPoolEscapes(pass *Pass, d *FuncDecl, accessors map[*types.Func]bool, r
 			return funcDisplayName(fn), true
 		}
 		return "", false
-	})
+	}).vars
 	if len(tracked) == 0 {
 		return
 	}
@@ -400,4 +400,56 @@ func returnedVars(d *FuncDecl) map[*types.Var]bool {
 	}
 	walk(d.Decl.Body, false)
 	return out
+}
+
+// returnsDerivedFrom reports whether any top-level return statement of
+// d returns a value derived from a call matched by isSource — the call
+// itself, or a local tracked back to one. poolescape closes its
+// accessor set with it, and cowstore its snapshot sources.
+func returnsDerivedFrom(d *FuncDecl, isSource func(*ast.CallExpr) bool) bool {
+	tr := track(d, func(call *ast.CallExpr) (string, bool) { return "source", isSource(call) })
+	found := false
+	forEachReturn(d, func(res ast.Expr) {
+		if !found && isRefType(tr.info.TypeOf(res)) {
+			_, _, found = tr.root(res)
+		}
+	})
+	return found
+}
+
+// forEachReturn visits the results of d's own return statements, not
+// those of the function literals inside it.
+func forEachReturn(d *FuncDecl, visit func(ast.Expr)) {
+	ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				visit(res)
+			}
+		}
+		return true
+	})
+}
+
+// staticOrIfaceCallee resolves a call to its compile-time callee,
+// including interface methods (which CalleeOf deliberately treats as
+// dynamic): an accessor or snapshot source declared as an interface
+// method is matched at every call through the interface, even though
+// the runtime target is unknown.
+func staticOrIfaceCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	if fn := CalleeOf(info, call); fn != nil {
+		return fn
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	selection, ok := info.Selections[sel]
+	if !ok || selection.Kind() != types.MethodVal {
+		return nil
+	}
+	fn, _ := selection.Obj().(*types.Func)
+	return fn
 }

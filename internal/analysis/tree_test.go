@@ -19,7 +19,6 @@ func TestDefaultAnalyzerCatalog(t *testing.T) {
 		"maprangefloat",
 		"seedflow",
 		"confine",
-		"normalizedpred",
 		"workerpure",
 		"statecodec",
 		"snapshotonce",
@@ -27,7 +26,6 @@ func TestDefaultAnalyzerCatalog(t *testing.T) {
 		"hotalloc",
 		"ctxflow",
 		"errflow",
-		"sharedread",
 		"poolescape",
 		"cowstore",
 	}

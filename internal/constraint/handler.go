@@ -39,7 +39,8 @@ type Handler struct {
 }
 
 // NewHandler returns a handler with the defaults used in the
-// experiments: α = 1, 8 candidates per tag, 200k expansions.
+// experiments: α = 1, 6 candidates per tag, 50 000 expansions, and
+// weighted A* with ε = 3.
 func NewHandler(constraints ...Constraint) *Handler {
 	return &Handler{
 		Constraints:   constraints,
@@ -479,10 +480,11 @@ func (h *Handler) candidates(src *Source, order []string, preds map[string]learn
 		// Every label in label order, then stably by decreasing score:
 		// equal scores keep label order.
 		p := preds[tag]
-		labels, scores := p.Labels(), p.Scores()
+		labels := p.Labels()
 		cs := make([]candidate, 0, p.Len()+2)
-		for _, id := range labels.Sorted() {
-			cs = append(cs, candidate{label: labels.Name(id), score: scores[id]})
+		for i := 0; i < p.Len(); i++ {
+			id := labels.SortedID(i)
+			cs = append(cs, candidate{label: labels.Name(id), score: p.At(id)})
 		}
 		slices.SortStableFunc(cs, byScoreDesc)
 		if h.TopK > 0 && len(cs) > h.TopK {

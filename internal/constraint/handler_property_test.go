@@ -51,7 +51,7 @@ func TestHandlerPropertyRandomInstances(t *testing.T) {
 			for _, l := range labels {
 				scores[l] = rng.Float64()
 			}
-			preds[tag] = predOf(scores).Normalize()
+			preds[tag] = predOf(scores)
 		}
 		h := NewHandler(cons...)
 		h.TopK = 0 // all candidates: tiny instance

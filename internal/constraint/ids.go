@@ -90,8 +90,8 @@ type sibling struct {
 // scoreRow reads one tag's prediction by run label id: ids[l] is label
 // l's id in the prediction's own table, or -1 when it has none.
 type scoreRow struct {
-	scores []float64
-	ids    []int32
+	pred learn.Prediction
+	ids  []int32
 }
 
 // newRun numbers src's tags and the labels a run can meet: OTHER,
@@ -199,7 +199,7 @@ func newRun(src *Source, cs []Constraint, preds map[string]learn.Prediction, can
 			}
 			tables[p.Labels()] = ids
 		}
-		r.scores[t] = scoreRow{p.Scores(), ids}
+		r.scores[t] = scoreRow{p, ids}
 	}
 	return r
 }
@@ -298,7 +298,7 @@ func (r *run) score(t, l int32) float64 {
 		return 0
 	}
 	if x := row.ids[l]; x >= 0 {
-		return row.scores[x]
+		return row.pred.At(int(x))
 	}
 	return 0
 }

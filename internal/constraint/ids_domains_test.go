@@ -88,7 +88,7 @@ func TestIDViolationsMatchMapReference(t *testing.T) {
 						scores[l] = rng.Float64()
 					}
 				}
-				preds[tag] = constraint.PredOf(scores).Normalize()
+				preds[tag] = constraint.PredOf(scores)
 			}
 			h := constraint.NewHandler(cs...)
 

@@ -79,11 +79,7 @@ func randomPreds(rng *rand.Rand, src *Source, table *learn.Labels) (map[string]l
 		if rng.Intn(8) == 0 {
 			continue
 		}
-		p := learn.NewPrediction(table)
-		copy(p.Scores(), predtest.Scores(rng, table.Len()))
-		if rng.Intn(2) == 0 {
-			p.Normalize()
-		}
+		p := learn.Normalized(table, predtest.Scores(rng, table.Len()))
 		preds[tag] = p
 		refs[tag] = p.Map()
 	}

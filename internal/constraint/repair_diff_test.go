@@ -185,7 +185,7 @@ func TestRepairMatchesOracleRandom(t *testing.T) {
 					scores[l] = rng.Float64()
 				}
 			}
-			preds[tag] = constraint.PredOf(scores).Normalize()
+			preds[tag] = constraint.PredOf(scores)
 		}
 		h := constraint.NewHandler(cs...)
 		h.TopK = 1 + rng.Intn(len(labels))

@@ -376,8 +376,7 @@ func ExtractExamples(med *Mediated, sources []*Source, maxListings int) []learn.
 	return out
 }
 
-// Labels returns the system's label set in label-id order. The slice
-// is the label table's own and read-only.
+// Labels returns a copy of the system's label set in label-id order.
 func (s *System) Labels() []string { return s.labels.Names() }
 
 // LearnerNames returns the trained learners' names.

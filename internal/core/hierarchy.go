@@ -80,9 +80,9 @@ func (h *LabelHierarchy) Suggest(p learn.Prediction, ratio float64) (string, boo
 	// label that sorts first.
 	first, second := -1, -1
 	var s1, s2 float64
-	scores := p.Scores()
-	for _, id := range p.Labels().Sorted() {
-		s := scores[id]
+	for i := 0; i < p.Len(); i++ {
+		id := p.Labels().SortedID(i)
+		s := p.At(id)
 		switch {
 		case s > s1:
 			second, s2 = first, s1

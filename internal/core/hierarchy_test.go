@@ -8,19 +8,19 @@ import (
 	"repro/internal/learn"
 )
 
-// predOf builds a prediction over the labels of scores, numbered in
-// sorted label order, holding the scores as given.
+// predOf builds the prediction Normalized makes of scores over their
+// labels, numbered in sorted label order.
 func predOf(scores map[string]float64) learn.Prediction {
 	labels := make([]string, 0, len(scores))
 	for c := range scores {
 		labels = append(labels, c)
 	}
 	sort.Strings(labels)
-	p := learn.NewPrediction(learn.LabelsOf(labels))
-	for c, s := range scores {
-		p.Set(c, s)
+	row := make([]float64, len(labels))
+	for id, c := range labels {
+		row[id] = scores[c]
 	}
-	return p
+	return learn.Normalized(learn.LabelsOf(labels), row)
 }
 
 // creditHierarchy models the §7 example: CREDIT generalizes

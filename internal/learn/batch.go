@@ -17,11 +17,9 @@ package learn
 type BatchPredictor interface {
 	Learner
 	// PredictBatch returns one prediction per instance, aligned with
-	// ins. Returned predictions are read-only and may be shared — with
-	// the learner's internal cache, between callers, and between
-	// duplicate instances of the same batch — exactly like Predict's.
-	//
-	// lint:shared
+	// ins. Returned predictions may be shared — with the learner's
+	// internal cache, between callers, and between duplicate instances
+	// of the same batch — exactly like Predict's.
 	PredictBatch(ins []Instance) []Prediction
 }
 

@@ -86,10 +86,10 @@ type Example struct {
 
 // Learner is a base learner (§3.3): it is trained once on labelled
 // examples and then predicts a confidence-score distribution for new
-// instances. Implementations must return normalized predictions over
-// the label set given at training time: built with
-// NewPrediction(LabelsOf(labels)), so they share the model's label
-// table. An untrained learner may return the empty Prediction{}.
+// instances. Implementations return predictions over the label set
+// given at training time, built with Normalized or Uniform over
+// LabelsOf(labels), so they share the model's label table. An
+// untrained learner may return the empty Prediction{}.
 type Learner interface {
 	// Name identifies the learner in reports and lesion studies.
 	Name() string
@@ -98,14 +98,9 @@ type Learner interface {
 	// cover every label.
 	Train(labels []string, examples []Example) error
 	// Predict returns the learner's confidence scores for the instance.
-	// The returned prediction is read-only: learners may serve the same
-	// instance from an internal cache shared between callers, so a
-	// caller that needs to mutate scores must Clone first. All in-tree
-	// consumers (the stacker, prediction conversion, the match report)
-	// only read. The sharedread analyzer enforces this contract on
-	// every implementation via the annotation below.
-	//
-	// lint:shared
+	// Learners may serve the same instance from an internal cache
+	// shared between callers, which is safe because a Prediction is
+	// immutable.
 	Predict(in Instance) Prediction
 }
 

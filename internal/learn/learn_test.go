@@ -8,17 +8,24 @@ import (
 	"testing/quick"
 )
 
-// pred builds a prediction over labels (in that id order) with the
-// given scores.
+// pred builds the prediction Normalized makes of the given raw scores
+// over labels (in that id order).
 func pred(labels []string, scores ...float64) Prediction {
-	p := NewPrediction(LabelsOf(labels))
-	copy(p.Scores(), scores)
-	return p
+	return Normalized(LabelsOf(labels), append([]float64(nil), scores...))
+}
+
+// oneHot builds the prediction over labels that gives label all of
+// the score.
+func oneHot(labels []string, label string) Prediction {
+	t := LabelsOf(labels)
+	scores := make([]float64, t.Len())
+	id, _ := t.ID(label)
+	scores[id] = 1
+	return Normalized(t, scores)
 }
 
 func TestPredictionNormalize(t *testing.T) {
 	p := pred([]string{"A", "B", "C"}, 2, 1, 1)
-	p.Normalize()
 	if math.Abs(p.Score("A")-0.5) > 1e-12 || math.Abs(p.Score("B")-0.25) > 1e-12 {
 		t.Errorf("Normalize = %v", p.Map())
 	}
@@ -26,7 +33,6 @@ func TestPredictionNormalize(t *testing.T) {
 
 func TestPredictionNormalizeClampsNegative(t *testing.T) {
 	p := pred([]string{"A", "B"}, -1, 1)
-	p.Normalize()
 	if p.Score("A") != 0 || p.Score("B") != 1 {
 		t.Errorf("Normalize with negatives = %v", p.Map())
 	}
@@ -34,7 +40,6 @@ func TestPredictionNormalizeClampsNegative(t *testing.T) {
 
 func TestPredictionNormalizeAllZero(t *testing.T) {
 	p := pred([]string{"A", "B"}, 0, 0)
-	p.Normalize()
 	if math.Abs(p.Score("A")-0.5) > 1e-12 {
 		t.Errorf("all-zero Normalize = %v, want uniform", p.Map())
 	}
@@ -62,7 +67,6 @@ func TestPredictionNormalizeProperty(t *testing.T) {
 		// Scores in practice are bounded combinations of probabilities;
 		// model them as non-negative values of moderate magnitude.
 		p := pred([]string{"x", "y", "z"}, float64(a)/1e3, float64(b)/1e3, float64(c)/1e3)
-		p.Normalize()
 		sum := p.Score("x") + p.Score("y") + p.Score("z")
 		return math.Abs(sum-1) < 1e-9
 	}
@@ -96,8 +100,25 @@ func TestLabelsOfInterns(t *testing.T) {
 		t.Errorf("ID(AGENT-NAME) = %d, %v", id, ok)
 	}
 	// Sorted order: AGENT-NAME < OTHER < PRICE.
-	if got := a.Sorted(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
-		t.Errorf("Sorted = %v, want [1 2 0]", got)
+	if got := []int{a.SortedID(0), a.SortedID(1), a.SortedID(2)}; got[0] != 1 || got[1] != 2 || got[2] != 0 {
+		t.Errorf("SortedID = %v, want [1 2 0]", got)
+	}
+}
+
+// TestLabelsNamesIsACopy writes into the slice Names returns: the
+// table, which every learner and prediction of a model shares, must
+// not change.
+func TestLabelsNamesIsACopy(t *testing.T) {
+	a := LabelsOf([]string{"COPY-A", "COPY-B", Other})
+	a.Names()[0] = "X"
+	if got := a.Name(0); got != "COPY-A" {
+		t.Errorf("a write into Names changed the table: Name(0) = %q", got)
+	}
+	if id, ok := a.ID("COPY-A"); !ok || id != 0 {
+		t.Errorf("ID(COPY-A) = %d, %v after a write into Names", id, ok)
+	}
+	if (*Labels)(nil).Names() != nil {
+		t.Error("Names of a nil table is not nil")
 	}
 }
 
@@ -133,27 +154,26 @@ func TestPredictionInMatchesByContent(t *testing.T) {
 	if a == b {
 		t.Fatal("newLabels returned the interned table")
 	}
-	p := NewPrediction(b)
-	p.Set("B", 0.75)
-	if got := p.In(a); &got[0] != &p.Scores()[0] || got[1] != 0.75 {
-		t.Errorf("In over an equal table = %v, want p's own scores", got)
+	p := Normalized(b, []float64{0, 0.75, 0.25})
+	if got := p.In(a); &got.scores[0] != &p.scores[0] || got.At(1) != 0.75 {
+		t.Errorf("In over an equal table = %v, want p's own scores", got.scores)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("In accepted a prediction over another label order")
 		}
 	}()
-	NewPrediction(newLabels([]string{"B", "A", Other})).In(a)
+	Uniform(newLabels([]string{"B", "A", Other})).In(a)
 }
 
 func TestPredictionInRejectsAnotherTable(t *testing.T) {
 	a := LabelsOf([]string{"A", "B"})
-	if got := (Prediction{}).In(a); len(got) != 2 || got[0] != 0 || got[1] != 0 {
-		t.Errorf("empty prediction In = %v, want zeros", got)
+	if got := (Prediction{}).In(a); len(got.scores) != 2 || got.At(0) != 0 || got.At(1) != 0 {
+		t.Errorf("empty prediction In = %v, want zeros", got.scores)
 	}
 	p := pred([]string{"A", "B"}, 0.25, 0.75)
-	if got := p.In(a); got[1] != 0.75 {
-		t.Errorf("In = %v", got)
+	if got := p.In(a); got.At(1) != 0.75 {
+		t.Errorf("In = %v", got.scores)
 	}
 	defer func() {
 		if recover() == nil {
@@ -190,9 +210,7 @@ func (c *constLearner) Train(labels []string, examples []Example) error {
 	return nil
 }
 func (c *constLearner) Predict(in Instance) Prediction {
-	p := NewPrediction(LabelsOf(c.labels))
-	p.Set(c.label, 1)
-	return p
+	return oneHot(c.labels, c.label)
 }
 
 // memorizer predicts the label it saw for an identical tag name during
@@ -214,9 +232,7 @@ func (m *memorizer) Train(labels []string, examples []Example) error {
 }
 func (m *memorizer) Predict(in Instance) Prediction {
 	if l, ok := m.seen[in.TagName]; ok {
-		p := NewPrediction(LabelsOf(m.labels))
-		p.Set(l, 1)
-		return p
+		return oneHot(m.labels, l)
 	}
 	return Uniform(LabelsOf(m.labels))
 }

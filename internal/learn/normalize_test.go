@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// normalizeFloatSort is Normalize as it was before the values sorted
+// normalizeFloatSort is normalize as it was before the values sorted
 // as bit patterns: the same clamp and sum, with sort.Float64s.
 func normalizeFloatSort(scores []float64) []float64 {
 	s := append([]float64(nil), scores...)
@@ -37,7 +37,7 @@ func normalizeFloatSort(scores []float64) []float64 {
 	return s
 }
 
-// TestNormalizeMatchesFloatSort requires Normalize to give the
+// TestNormalizeMatchesFloatSort requires Normalized to give the
 // sort.Float64s sum's result bit for bit on random vectors, whose
 // values mix exact zeros, -0.0, subnormals, normal values spanning
 // many magnitudes, negatives and +Inf, at lengths on both sides of the
@@ -75,16 +75,15 @@ func TestNormalizeMatchesFloatSort(t *testing.T) {
 			scores[i] = draw(withNaN)
 		}
 		want := normalizeFloatSort(scores)
-		p := NewPrediction(LabelsOf(names[:n]))
-		copy(p.Scores(), scores)
-		got := p.Normalize().Scores()
+		p := Normalized(LabelsOf(names[:n]), append([]float64(nil), scores...))
 		for i := range want {
-			if math.IsNaN(want[i]) && math.IsNaN(got[i]) {
+			got := p.At(i)
+			if math.IsNaN(want[i]) && math.IsNaN(got) {
 				continue
 			}
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
 				t.Fatalf("trial %d, %d values: score %d = %v (%#x), want %v (%#x); input %v",
-					trial, n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]), scores)
+					trial, n, i, got, math.Float64bits(got), want[i], math.Float64bits(want[i]), scores)
 			}
 		}
 	}
@@ -95,8 +94,8 @@ func TestNormalizeMatchesFloatSort(t *testing.T) {
 func TestNormalizeNaNStaysNaN(t *testing.T) {
 	for _, nan := range []float64{math.NaN(), math.Float64frombits(0xfff8000000000001)} {
 		p := pred([]string{"a", "b", "c"}, 0.5, nan, 0.25)
-		for id, s := range p.Normalize().Scores() {
-			if !math.IsNaN(s) {
+		for id := 0; id < p.Len(); id++ {
+			if s := p.At(id); !math.IsNaN(s) {
 				t.Errorf("NaN %#x: score %d = %v, want NaN", math.Float64bits(nan), id, s)
 			}
 		}

@@ -29,7 +29,7 @@ type Labels struct {
 	ids   map[string]int // label → id; a repeated name keeps its first id
 	// sorted lists the ids in ascending label order.
 	sorted []int
-	// zero is the read-only all-zero score row of an empty prediction.
+	// zero is the all-zero row In reads an empty prediction as.
 	zero []float64
 }
 
@@ -124,41 +124,47 @@ func (t *Labels) ID(label string) (int, bool) {
 	return id, ok
 }
 
-// Names returns the labels in id order. The slice is the table's own
-// and read-only.
+// Names returns a copy of the labels in id order; nil for a nil table.
 func (t *Labels) Names() []string {
 	if t == nil {
 		return nil
 	}
-	return t.names
+	return append([]string(nil), t.names...)
 }
 
-// Sorted returns the ids in ascending label order. The slice is the
-// table's own and read-only.
-func (t *Labels) Sorted() []int {
-	if t == nil {
-		return nil
-	}
-	return t.sorted
-}
+// SortedID returns the id of the label at position i of ascending label
+// order.
+func (t *Labels) SortedID(i int) int { return t.sorted[i] }
 
 // Prediction is a confidence-score distribution over a label table:
-// s(c|x, L) for each label c, with scores summing to 1 after Normalize
-// (§2.2). Scores are dense, indexed by label id, and the prediction
-// carries its table, so it names its own labels. The zero value is the
-// empty prediction, which has no labels and which the stacker and the
-// converter read as all zeros.
+// s(c|x, L) for each label c, with scores summing to 1 (§2.2). Scores
+// are dense, indexed by label id, and the prediction carries its table,
+// so it names its own labels. The zero value is the empty prediction,
+// which has no labels and which the stacker and the converter read as
+// all zeros.
+//
+// A prediction is immutable: Normalized and Uniform build it, already
+// normalized, and nothing writes its scores afterwards. Copies and
+// cached predictions therefore share their scores safely, and a reader
+// goes through Labels, Len, At, Score, Best, Map and In. No method
+// hands out a slice of the scores or of the label table.
 type Prediction struct {
 	labels *Labels
 	scores []float64
 }
 
-// NewPrediction returns an all-zero prediction over t: the one
-// constructor of score vectors. A learner builds its predictions over
-// LabelsOf(the labels it was trained with), fills them through Scores
-// or Set, and returns them normalized.
-func NewPrediction(t *Labels) Prediction {
-	return Prediction{labels: t, scores: make([]float64, t.Len())}
+// Normalized returns the prediction over t that holds scores,
+// normalized: negative scores are clamped to 0 and the rest scaled to
+// sum to 1; an all-zero row becomes uniform. It is the constructor of
+// filled score rows. It takes ownership of scores, which the caller
+// fills by label id and must not touch afterwards, and it panics when
+// the row's length is not t's.
+func Normalized(t *Labels, scores []float64) Prediction {
+	if len(scores) != t.Len() {
+		panic("learn: the score row's length is not the label table's")
+	}
+	normalize(scores)
+	return Prediction{labels: t, scores: scores}
 }
 
 // Uniform returns the uniform prediction over t; the empty prediction
@@ -183,9 +189,8 @@ func (p Prediction) Labels() *Labels { return p.labels }
 // Len returns the number of labels p scores.
 func (p Prediction) Len() int { return len(p.scores) }
 
-// Scores returns p's scores indexed by label id. Only the producer of
-// a prediction writes them: a returned prediction is read-only.
-func (p Prediction) Scores() []float64 { return p.scores }
+// At returns the score of the label with the given id.
+func (p Prediction) At(id int) float64 { return p.scores[id] }
 
 // Score returns the score of label, 0 when p does not have it.
 func (p Prediction) Score(label string) float64 {
@@ -195,40 +200,38 @@ func (p Prediction) Score(label string) float64 {
 	return 0
 }
 
-// Set sets the score of label. It panics when label is not in p's
-// table: a learner scores exactly the labels it was trained with.
-func (p Prediction) Set(label string, s float64) {
-	id, ok := p.labels.ID(label)
-	if !ok {
-		panic(fmt.Sprintf("learn: label %q is not in the prediction's label table", label))
-	}
-	p.scores[id] = s
-}
+// Row is a prediction's score row as read over a label table, indexed
+// by label id. In returns it for consumers that combine predictions
+// label by label. A row only reads, and it is not a Prediction: the
+// all-zero row of the empty prediction cannot be handed on as one.
+type Row struct{ scores []float64 }
 
-// In returns p's scores indexed by t's ids, for consumers that combine
-// predictions label by label: p's own scores when p is over t, a
-// shared all-zero row when p is empty. The row is read-only. Mixing
+// At returns the score of the label with the given id.
+func (r Row) At(id int) float64 { return r.scores[id] }
+
+// In returns p's score row as read over t: p's own scores when p is
+// over t, and the shared all-zero row of t when p is empty. Mixing
 // label tables is a programming error, and In panics on it.
-func (p Prediction) In(t *Labels) []float64 {
+func (p Prediction) In(t *Labels) Row {
 	switch {
 	case p.labels == t:
-		return p.scores
+		return Row{p.scores}
 	case p.labels == nil:
-		return t.zero
+		return Row{t.zero}
 	case p.labels.same(t):
-		return p.scores
+		return Row{p.scores}
 	}
 	panic(fmt.Sprintf("learn: prediction over %d labels read against another table of %d",
 		p.labels.Len(), t.Len()))
 }
 
-// normBuf sizes Normalize's stack copy: label sets up to this size sort
+// normBuf sizes normalize's stack copy: label sets up to this size sort
 // without a heap allocation (Real Estate II has 66 labels).
 const normBuf = 128
 
-// Normalize scales the prediction in place so its non-negative scores
-// sum to 1 and returns it. Negative scores are clamped to 0 first. If
-// every score is zero the prediction becomes uniform over its labels.
+// normalize scales s in place so its non-negative scores sum to 1.
+// Negative scores are clamped to 0 first. If every score is zero, s
+// becomes uniform.
 //
 // The scores are summed in ascending value order, not id order: the
 // order fixes the sum's rounding, and every pinned score, stacking
@@ -237,8 +240,7 @@ const normBuf = 128
 // like their bit patterns, so the values sort as uint64s, which is
 // cheaper than a float sort and gives the same sum bit for bit: a -0.0
 // sorts last instead of among the zeros, and adding it changes no sum.
-func (p Prediction) Normalize() Prediction {
-	s := p.scores
+func normalize(s []float64) {
 	var buf [normBuf]uint64
 	vals := buf[:0]
 	if len(s) > len(buf) {
@@ -258,18 +260,17 @@ func (p Prediction) Normalize() Prediction {
 	}
 	if sum == 0 {
 		if len(s) == 0 {
-			return p
+			return
 		}
 		u := 1 / float64(len(s))
 		for id := range s {
 			s[id] = u
 		}
-		return p
+		return
 	}
 	for id := range s {
 		s[id] /= sum
 	}
-	return p
 }
 
 // Best returns the label with the highest score, breaking ties by
@@ -277,7 +278,8 @@ func (p Prediction) Normalize() Prediction {
 // returns ("", 0).
 func (p Prediction) Best() (string, float64) {
 	best, bestScore := -1, math.Inf(-1)
-	for _, id := range p.labels.Sorted() {
+	for i := 0; i < len(p.scores); i++ {
+		id := p.labels.sorted[i]
 		if s := p.scores[id]; s > bestScore {
 			best, bestScore = id, s
 		}
@@ -286,11 +288,6 @@ func (p Prediction) Best() (string, float64) {
 		return "", 0
 	}
 	return p.labels.names[best], bestScore
-}
-
-// Clone returns a copy of p with its own scores.
-func (p Prediction) Clone() Prediction {
-	return Prediction{labels: p.labels, scores: append([]float64(nil), p.scores...)}
 }
 
 // Map returns p's scores keyed by label, for the JSON response and

@@ -132,10 +132,10 @@ func (l *Learner) Predict(in learn.Instance) learn.Prediction {
 	}
 	// Each score slot holds its label's log likelihood until the
 	// soft-max below.
-	p := learn.NewPrediction(l.labels)
-	scores := p.Scores()
+	scores := make([]float64, l.labels.Len())
 	maxLog := math.Inf(-1)
-	for id, c := range l.labels.Names() {
+	for id := range scores {
+		c := l.labels.Name(id)
 		lp := math.Log((l.sigCount[c][sig] + 1) / (l.total[c] + v))
 		scores[id] = lp
 		if lp > maxLog {
@@ -145,5 +145,5 @@ func (l *Learner) Predict(in learn.Instance) learn.Prediction {
 	for id, lp := range scores {
 		scores[id] = math.Exp(lp - maxLog)
 	}
-	return p.Normalize()
+	return learn.Normalized(l.labels, scores)
 }

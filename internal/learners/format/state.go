@@ -33,7 +33,7 @@ func (l *Learner) State() *State {
 		return nil
 	}
 	st := &State{
-		Labels:   append([]string(nil), l.labels.Names()...),
+		Labels:   l.labels.Names(),
 		PerLabel: make([]LabelState, l.labels.Len()),
 		Sigs:     make([]string, 0, len(l.numSigs)),
 	}

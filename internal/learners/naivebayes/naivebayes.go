@@ -185,9 +185,9 @@ func (l *Learner) Predict(in learn.Instance) learn.Prediction {
 // precomputed log-probability tables instead of one table walk per
 // instance. Every scalar log score sums exactly the terms PredictBag
 // sums, in the same order (prior, ascending-id terms, then the OOV
-// constant), and the softmax/Normalize per instance is unchanged, so
-// each result is bit-identical to Predict's. Duplicate instances
-// share one prediction (read-only by the Predict contract).
+// constant), and the softmax and normalization per instance are
+// unchanged, so each result is bit-identical to Predict's. Duplicate
+// instances share one immutable prediction.
 //
 // lint:hot
 func (l *Learner) PredictBatch(ins []learn.Instance) []learn.Prediction {
@@ -244,12 +244,11 @@ func (l *Learner) PredictBatch(ins []learn.Instance) []learn.Prediction {
 				maxLog = lps[off+li]
 			}
 		}
-		p := learn.NewPrediction(l.labels)
-		scores := p.Scores()
+		scores := make([]float64, k)
 		for li := range scores {
 			scores[li] = math.Exp(lps[off+li] - maxLog)
 		}
-		uniq[u] = p.Normalize()
+		uniq[u] = learn.Normalized(l.labels, scores)
 	}
 	l.scratch.Put(lps)
 	for i := range ins {
@@ -279,8 +278,7 @@ func (l *Learner) PredictSparse(sb text.SparseBag) learn.Prediction {
 	}
 	// Each score slot holds its label's log score until the soft-max
 	// below turns it into a likelihood ratio.
-	p := learn.NewPrediction(l.labels)
-	scores := p.Scores()
+	scores := make([]float64, l.labels.Len())
 	maxLog := math.Inf(-1)
 	for li := range scores {
 		lp := l.prior[li]
@@ -297,7 +295,7 @@ func (l *Learner) PredictSparse(sb text.SparseBag) learn.Prediction {
 	for li, lp := range scores {
 		scores[li] = math.Exp(lp - maxLog)
 	}
-	return p.Normalize()
+	return learn.Normalized(l.labels, scores)
 }
 
 // Vocab returns the trained vocabulary, nil before training. It is

@@ -35,7 +35,7 @@ func (l *Learner) State() *State {
 		return nil
 	}
 	st := &State{
-		Labels:    append([]string(nil), l.labels.Names()...),
+		Labels:    l.labels.Names(),
 		Tokens:    l.vocab.Tokens(),
 		LogProb:   make([][]float64, len(l.logProb)),
 		UnseenLog: append([]float64(nil), l.unseenLog...),

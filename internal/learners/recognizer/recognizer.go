@@ -99,12 +99,13 @@ func (d *Dictionary) Predict(in learn.Instance) learn.Prediction {
 	if !d.Contains(in.Content) {
 		return learn.Uniform(d.labels)
 	}
-	p := learn.NewPrediction(d.labels)
-	scores := p.Scores()
+	scores := make([]float64, d.labels.Len())
 	base := (1 - d.hitRate) / float64(len(scores))
 	for id := range scores {
 		scores[id] = base
 	}
-	p.Set(d.target, p.Score(d.target)+d.hitRate)
-	return p.Normalize()
+	// Train and Restore refuse a target outside the labels.
+	target, _ := d.labels.ID(d.target)
+	scores[target] += d.hitRate
+	return learn.Normalized(d.labels, scores)
 }

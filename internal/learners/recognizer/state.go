@@ -29,7 +29,7 @@ func (d *Dictionary) State() *State {
 		Name:    d.name,
 		Target:  d.target,
 		Entries: make([]string, 0, len(d.entries)),
-		Labels:  append([]string(nil), d.labels.Names()...),
+		Labels:  d.labels.Names(),
 		HitRate: d.hitRate,
 	}
 	for e := range d.entries {

@@ -35,7 +35,7 @@ func (l *Learner) State() *State {
 		return nil
 	}
 	st := &State{
-		Labels:  append([]string(nil), l.labels.Names()...),
+		Labels:  l.labels.Names(),
 		Classes: make([]ClassState, l.labels.Len()),
 		NumDocs: l.numDocs,
 	}

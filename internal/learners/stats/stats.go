@@ -166,11 +166,10 @@ func (l *Learner) Predict(in learn.Instance) learn.Prediction {
 	f := features(in.Content)
 	// Each score slot holds its label's log likelihood until the
 	// soft-max below.
-	p := learn.NewPrediction(l.labels)
-	scores := p.Scores()
+	scores := make([]float64, l.labels.Len())
 	maxLog := math.Inf(-1)
-	for id, c := range l.labels.Names() {
-		cs := l.classes[c]
+	for id := range scores {
+		cs := l.classes[l.labels.Name(id)]
 		// Laplace-smoothed class prior.
 		lp := math.Log((cs.n + 1) / (l.numDocs + float64(len(scores))))
 		for i := 0; i < numFeatures; i++ {
@@ -186,5 +185,5 @@ func (l *Learner) Predict(in learn.Instance) learn.Prediction {
 	for id, lp := range scores {
 		scores[id] = math.Exp(lp - maxLog)
 	}
-	return p.Normalize()
+	return learn.Normalized(l.labels, scores)
 }

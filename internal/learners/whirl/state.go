@@ -42,7 +42,7 @@ func (c *Classifier) State() *State {
 	st := &State{
 		Name:      c.name,
 		Config:    c.cfg,
-		Labels:    append([]string(nil), c.labels.Names()...),
+		Labels:    c.labels.Names(),
 		Corpus:    c.corpus.State(),
 		DocLabels: append([]int32(nil), c.docLabels...),
 		Postings:  make([][]Posting, len(c.postings)),

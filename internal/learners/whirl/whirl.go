@@ -157,7 +157,7 @@ func (c *Classifier) Train(labels []string, examples []learn.Example) error {
 // per label with a noisy-or: s(c) = 1 − Π(1 − simᵢ). Scores are
 // smoothed and normalized to a confidence distribution. The returned
 // prediction may be shared with the classifier's cache and other
-// callers; callers must treat it as read-only.
+// callers, which is safe because a prediction is immutable.
 //
 // lint:hot
 func (c *Classifier) Predict(in learn.Instance) learn.Prediction {
@@ -180,7 +180,7 @@ const maxBatchRows = 64
 // PredictBatch implements learn.BatchPredictor: the whole batch is
 // deduplicated by extracted text, cache misses are scored in chunks
 // by one merged pass over the shared postings table, and duplicate
-// instances share one prediction (read-only by the Predict contract).
+// instances share one immutable prediction.
 // Per instance the result is bit-identical to Predict: predictChunk
 // accumulates each query row's float terms in exactly the
 // per-instance order, and scoring goes through the same scoreSims.
@@ -327,12 +327,11 @@ func (c *Classifier) predict(extracted string) learn.Prediction {
 // predictUntrained is the fallback for a classifier with no stored
 // examples: smoothing only, normalized to uniform.
 func (c *Classifier) predictUntrained() learn.Prediction {
-	p := learn.NewPrediction(c.labels)
-	scores := p.Scores()
+	scores := make([]float64, c.labels.Len())
 	for li := range scores {
 		scores[li] = c.cfg.Smoothing
 	}
-	return p.Normalize()
+	return learn.Normalized(c.labels, scores)
 }
 
 // scoreSims turns one dense similarity row (one slot per stored
@@ -379,8 +378,7 @@ func (c *Classifier) scoreSims(sims []float64) learn.Prediction {
 	// Noisy-or per label: each score slot first accumulates the product
 	// Π(1 − simᵢ) of its label's neighbours, then becomes the smoothed
 	// 1 − product.
-	p := learn.NewPrediction(c.labels)
-	scores := p.Scores()
+	scores := make([]float64, c.labels.Len())
 	for li := range scores {
 		scores[li] = 1
 	}
@@ -390,7 +388,7 @@ func (c *Classifier) scoreSims(sims []float64) learn.Prediction {
 	for li, oneMinus := range scores {
 		scores[li] = c.cfg.Smoothing + (1 - oneMinus)
 	}
-	return p.Normalize()
+	return learn.Normalized(c.labels, scores)
 }
 
 // NumStored returns how many training examples the classifier holds.

@@ -96,9 +96,12 @@ func sameBits(a, b learn.Prediction) bool {
 	if !slices.Equal(a.Labels().Names(), b.Labels().Names()) {
 		return false
 	}
-	return slices.EqualFunc(a.Scores(), b.Scores(), func(x, y float64) bool {
-		return math.Float64bits(x) == math.Float64bits(y)
-	})
+	for id := 0; id < a.Len(); id++ {
+		if math.Float64bits(a.At(id)) != math.Float64bits(b.At(id)) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSparseBagUntrained: before training every token is out of

@@ -49,9 +49,10 @@ func (f NodeLabelerFunc) LabelNode(node *xmltree.Node, path []string) string {
 	return f(node, path)
 }
 
-// Learner is the XML learner. It must be constructed with the labeler
-// used at matching time; the labeler used at training time is passed to
-// Train through the examples' true labels via SetTrainLabeler.
+// Learner is the XML learner. Its training labeler, New's first
+// argument, labels sub-elements while it trains; its matching labeler,
+// New's second argument or the one SetMatchLabeler installs once the
+// rest of LSD is trained, labels them while it predicts.
 type Learner struct {
 	nb *naivebayes.Learner
 	// index finds the ids of nb's structural tokens; built at Train and

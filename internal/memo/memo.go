@@ -53,8 +53,6 @@ func hash(s string) uint32 {
 // is promoted into the current generation under the same critical
 // section as the lookup. Every hit of a key returns the one stored
 // value, so callers only read it.
-//
-// lint:shared
 func (t *Table[V]) Get(key string) (V, bool) {
 	if t == nil {
 		var zero V

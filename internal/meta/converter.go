@@ -26,13 +26,13 @@ func Convert(mode ConverterMode, labels *learn.Labels, preds []learn.Prediction)
 	if len(preds) == 0 {
 		return learn.Uniform(labels)
 	}
-	out := learn.NewPrediction(labels)
-	scores := out.Scores()
+	scores := make([]float64, labels.Len())
 	switch mode {
 	case Max:
 		for _, p := range preds {
-			for id, s := range p.In(labels) {
-				if s > scores[id] {
+			row := p.In(labels)
+			for id := range scores {
+				if s := row.At(id); s > scores[id] {
 					scores[id] = s
 				}
 			}
@@ -42,10 +42,11 @@ func Convert(mode ConverterMode, labels *learn.Labels, preds []learn.Prediction)
 		// instance order.
 		n := float64(len(preds))
 		for _, p := range preds {
-			for id, s := range p.In(labels) {
-				scores[id] += s / n
+			row := p.In(labels)
+			for id := range scores {
+				scores[id] += row.At(id) / n
 			}
 		}
 	}
-	return out.Normalize()
+	return learn.Normalized(labels, scores)
 }

@@ -112,9 +112,9 @@ func Train(labels *learn.Labels, names []string, factories []learn.Factory,
 
 	// Steps 5(b)-(c): per label, gather ⟨s(ci|x,L1..Lk), l(ci,x)⟩ and
 	// regress. cvRows[j][i] is learner j's CV score row for example i.
-	cvRows := make([][][]float64, k)
+	cvRows := make([][]learn.Row, k)
 	for j := range cv {
-		cvRows[j] = make([][]float64, len(examples))
+		cvRows[j] = make([]learn.Row, len(examples))
 		for i, p := range cv[j] {
 			cvRows[j][i] = p.In(labels)
 		}
@@ -125,7 +125,7 @@ func Train(labels *learn.Labels, names []string, factories []learn.Factory,
 		for i := range examples {
 			row := make([]float64, k)
 			for j := 0; j < k; j++ {
-				row[j] = cvRows[j][i][id]
+				row[j] = cvRows[j][i].At(id)
 			}
 			x[i] = row
 			if examples[i].Label == c {
@@ -205,30 +205,30 @@ func (s *Stacker) Combine(preds []learn.Prediction) learn.Prediction {
 			len(preds), len(s.learnerNames)))
 	}
 	// One score row per learner; a stack buffer for the usual few.
-	var rowBuf [8][]float64
+	var rowBuf [8]learn.Row
 	rows := rowBuf[:0]
 	if len(preds) > len(rowBuf) {
-		rows = make([][]float64, 0, len(preds))
+		rows = make([]learn.Row, 0, len(preds))
 	}
 	for _, p := range preds {
 		rows = append(rows, p.In(s.labels))
 	}
-	out := learn.NewPrediction(s.labels)
-	scores := out.Scores()
+	scores := make([]float64, s.labels.Len())
 	for id, w := range s.weights {
 		score := 0.0
 		for j, row := range rows {
-			score += w[j] * row[id]
+			score += w[j] * row.At(id)
 		}
 		scores[id] = score
 	}
-	return out.Normalize()
+	return learn.Normalized(s.labels, scores)
 }
 
 // String summarizes the fitted weights, highest-variance labels first.
 func (s *Stacker) String() string {
 	out := "meta-learner weights:\n"
-	for _, id := range s.labels.Sorted() {
+	for i := 0; i < s.labels.Len(); i++ {
+		id := s.labels.SortedID(i)
 		out += "  " + s.labels.Name(id) + ":"
 		for j, n := range s.learnerNames {
 			out += fmt.Sprintf(" %s=%.3f", n, s.weights[id][j])

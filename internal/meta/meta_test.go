@@ -13,13 +13,15 @@ var labels = []string{"ADDRESS", "AGENT-PHONE", "DESCRIPTION"}
 // table is the label table of labels.
 var table = learn.LabelsOf(labels)
 
-// pred builds a prediction over table from label scores.
+// pred builds the prediction Normalized makes of label scores over
+// table.
 func pred(scores map[string]float64) learn.Prediction {
-	p := learn.NewPrediction(table)
+	row := make([]float64, table.Len())
 	for c, s := range scores {
-		p.Set(c, s)
+		id, _ := table.ID(c)
+		row[id] = s
 	}
-	return p
+	return learn.Normalized(table, row)
 }
 
 // oracle predicts the true label perfectly via a tag->label table.
@@ -38,14 +40,16 @@ func (o *oracle) Train(labels []string, examples []learn.Example) error {
 	return nil
 }
 func (o *oracle) Predict(in learn.Instance) learn.Prediction {
-	p := learn.NewPrediction(learn.LabelsOf(o.labels))
-	for _, c := range o.labels {
-		p.Set(c, 0.01)
+	t := learn.LabelsOf(o.labels)
+	scores := make([]float64, t.Len())
+	for id := range scores {
+		scores[id] = 0.01
 	}
 	if l, ok := o.table[in.TagName]; ok {
-		p.Set(l, 1)
+		id, _ := t.ID(l)
+		scores[id] = 1
 	}
-	return p.Normalize()
+	return learn.Normalized(t, scores)
 }
 
 // antiOracle always puts its mass on the wrong label.
@@ -55,16 +59,17 @@ type antiOracle struct {
 
 func (a *antiOracle) Name() string { return "anti" }
 func (a *antiOracle) Predict(in learn.Instance) learn.Prediction {
-	p := learn.NewPrediction(learn.LabelsOf(a.labels))
+	t := learn.LabelsOf(a.labels)
+	scores := make([]float64, t.Len())
 	truth := a.table[in.TagName]
-	for _, c := range a.labels {
+	for id, c := range t.Names() {
 		if c == truth {
-			p.Set(c, 0.01)
+			scores[id] = 0.01
 		} else {
-			p.Set(c, 1)
+			scores[id] = 1
 		}
 	}
-	return p.Normalize()
+	return learn.Normalized(t, scores)
 }
 
 // coin predicts uniformly: carries no information.

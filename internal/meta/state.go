@@ -21,7 +21,7 @@ type StackerState struct {
 // State snapshots the stacker.
 func (s *Stacker) State() *StackerState {
 	st := &StackerState{
-		Labels:       append([]string(nil), s.labels.Names()...),
+		Labels:       s.labels.Names(),
 		LearnerNames: append([]string(nil), s.learnerNames...),
 		Weights:      make([][]float64, len(s.weights)),
 	}

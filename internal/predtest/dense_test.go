@@ -27,11 +27,10 @@ func sameBits(t *testing.T, what string, dense learn.Prediction, ref mapPred) {
 	}
 }
 
-// random returns a prediction over t holding Scores(rng, t.Len()).
+// random returns the prediction Normalized makes of Scores(rng, t.Len())
+// over t.
 func random(rng *rand.Rand, t *learn.Labels) learn.Prediction {
-	p := learn.NewPrediction(t)
-	copy(p.Scores(), Scores(rng, t.Len()))
-	return p
+	return learn.Normalized(t, Scores(rng, t.Len()))
 }
 
 // toMap returns p as a reference map; the empty prediction is the empty
@@ -45,13 +44,16 @@ func TestNormalizeMatchesMapReference(t *testing.T) {
 	for _, n := range Sizes {
 		table := learn.LabelsOf(Labels(rng, n))
 		for i := 0; i < trials; i++ {
-			p := random(rng, table)
-			ref := toMap(p).normalize()
-			sameBits(t, "Normalize", p.Normalize(), ref)
+			raw := Scores(rng, n)
+			ref := make(mapPred, n)
+			for id, c := range table.Names() {
+				ref[c] = raw[id]
+			}
+			sameBits(t, "Normalized", learn.Normalized(table, raw), ref.normalize())
 		}
 	}
-	if got := (learn.Prediction{}).Normalize(); got.Len() != 0 {
-		t.Errorf("Normalize of the empty prediction has %d labels", got.Len())
+	if got := learn.Normalized(nil, nil); got.Len() != 0 {
+		t.Errorf("Normalized over no labels has %d labels", got.Len())
 	}
 }
 
@@ -61,15 +63,18 @@ func TestBestMatchesMapReference(t *testing.T) {
 		table := learn.LabelsOf(Labels(rng, n))
 		for i := 0; i < trials; i++ {
 			p := random(rng, table)
-			if i%2 == 0 {
-				p.Normalize()
-			}
 			gotLabel, gotScore := p.Best()
 			wantLabel, wantScore := toMap(p).best()
 			if gotLabel != wantLabel || math.Float64bits(gotScore) != math.Float64bits(wantScore) {
 				t.Fatalf("n=%d: Best = %s %.17g, reference %s %.17g", n, gotLabel, gotScore, wantLabel, wantScore)
 			}
 		}
+	}
+	// The empty prediction is the one score row without a positive
+	// score: Normalized makes an all-zero row uniform.
+	gotLabel, gotScore := learn.Prediction{}.Best()
+	if wantLabel, wantScore := (mapPred{}).best(); gotLabel != wantLabel || gotScore != wantScore {
+		t.Errorf("empty: Best = %q %g, reference %q %g", gotLabel, gotScore, wantLabel, wantScore)
 	}
 }
 
@@ -110,7 +115,7 @@ func TestCombineMatchesMapReference(t *testing.T) {
 					// One prediction in six is empty: an untrained
 					// plug-in, which adds zeros.
 					if rng.Intn(6) > 0 {
-						preds[j] = random(rng, table).Normalize()
+						preds[j] = random(rng, table)
 					}
 					refs[j] = toMap(preds[j])
 				}
@@ -130,7 +135,7 @@ func TestConvertMatchesMapReference(t *testing.T) {
 				refs := make([]mapPred, len(preds))
 				for j := range preds {
 					if rng.Intn(6) > 0 {
-						preds[j] = random(rng, table).Normalize()
+						preds[j] = random(rng, table)
 					}
 					refs[j] = toMap(preds[j])
 				}
@@ -157,16 +162,16 @@ func maxDivergence(t *testing.T, got learn.Prediction, ref mapPred) {
 	t.Helper()
 	if len(ref) == 0 {
 		u := 1 / float64(got.Len())
-		for id, s := range got.Scores() {
-			if s != u {
+		for id := 0; id < got.Len(); id++ {
+			if s := got.At(id); s != u {
 				t.Fatalf("Convert(Max) of a column with no positive score: %s = %g, want uniform %g",
 					got.Labels().Name(id), s, u)
 			}
 		}
 		return
 	}
-	for id, s := range got.Scores() {
-		c := got.Labels().Name(id)
+	for id := 0; id < got.Len(); id++ {
+		s, c := got.At(id), got.Labels().Name(id)
 		want, ok := ref[c]
 		if !ok {
 			want = 0
@@ -195,15 +200,16 @@ func TestSuggestMatchesMapReference(t *testing.T) {
 		h := core.NewLabelHierarchy(parent)
 		for i := 0; i < trials; i++ {
 			p := random(rng, table)
-			if i%2 == 0 {
-				p.Normalize()
-			}
 			ratio := []float64{0, 0.5, core.AmbiguityRatio, 1}[rng.Intn(4)]
 			gotAnc, gotOK := h.Suggest(p, ratio)
 			wantAnc, wantOK := mapSuggest(h, toMap(p), ratio)
 			if gotAnc != wantAnc || gotOK != wantOK {
 				t.Fatalf("n=%d: Suggest = %q %v, reference %q %v", n, gotAnc, gotOK, wantAnc, wantOK)
 			}
+		}
+		gotAnc, gotOK := h.Suggest(learn.Prediction{}, 0)
+		if wantAnc, wantOK := mapSuggest(h, mapPred{}, 0); gotAnc != wantAnc || gotOK != wantOK {
+			t.Errorf("n=%d, empty: Suggest = %q %v, reference %q %v", n, gotAnc, gotOK, wantAnc, wantOK)
 		}
 	}
 }

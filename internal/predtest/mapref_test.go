@@ -1,6 +1,6 @@
 package predtest
 
-// The map-based reference: Normalize, Best, Stacker.Combine,
+// The map-based reference: normalization, Best, Stacker.Combine,
 // meta.Convert and LabelHierarchy.Suggest as they were when a
 // prediction was a label → score map. The dense versions must agree
 // with them bit for bit (dense_test.go).

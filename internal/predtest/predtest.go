@@ -20,7 +20,7 @@ func Labels(rng *rand.Rand, n int) []string {
 }
 
 // Scores returns a random score row of length n. One row in eight is
-// all zero (Normalize's uniform fallback); otherwise each score is
+// all zero (normalization's uniform fallback); otherwise each score is
 // drawn from a few repeated values (ties), zeros, negatives and
 // arbitrary positives.
 func Scores(rng *rand.Rand, n int) []float64 {
@@ -45,5 +45,5 @@ func Scores(rng *rand.Rand, n int) []float64 {
 }
 
 // Sizes are the label counts the property tests cover: one label, and
-// both sides of 24 (the old stack buffers) and of 128 (Normalize's).
+// both sides of 24 (the old stack buffers) and of 128 (normalize's).
 var Sizes = []int{1, 24, 25, 66, 130}

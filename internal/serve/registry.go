@@ -125,7 +125,7 @@ func ModelFromDecoded(d *artifact.Decoded, workers int) (*Model, error) {
 		Name:          name,
 		FormatVersion: d.FormatVersion,
 		Checksum:      d.Checksum,
-		Labels:        append([]string(nil), d.State.Labels.Names()...),
+		Labels:        d.State.Labels.Names(),
 		sys:           sys,
 	}, nil
 }

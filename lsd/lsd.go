@@ -62,8 +62,12 @@ type (
 	Instance = learn.Instance
 	// Prediction is a confidence-score distribution over a label
 	// table: a dense score vector indexed by label id that names its
-	// own labels (Labels, Score, Best, Map).
+	// own labels (Labels, Len, At, Score, Best, Map, In). It is
+	// normalized when built and immutable afterwards.
 	Prediction = learn.Prediction
+	// Row is a prediction's score row read over a label table
+	// (Prediction.In), for combining predictions label by label.
+	Row = learn.Row
 	// Labels is a label table: a model's fixed label set, numbered in
 	// training order.
 	Labels = learn.Labels
@@ -89,11 +93,11 @@ var (
 	// trained with. Tables are interned, so every learner of a model
 	// gets the model's own table.
 	LabelsOf = learn.LabelsOf
-	// NewPrediction returns an all-zero prediction over a table, the
-	// one constructor a custom Learner builds its predictions with:
-	// fill it with Set (or Scores, by label id) and return it
-	// normalized.
-	NewPrediction = learn.NewPrediction
+	// Normalized returns the prediction over a table holding a score
+	// row filled by label id, clamped and scaled to sum to 1: the
+	// constructor a custom Learner builds its predictions with. It
+	// takes ownership of the row.
+	Normalized = learn.Normalized
 )
 
 // DefaultConfig returns the complete LSD system of the paper's
