@@ -42,8 +42,8 @@ var microIters = map[string]int{
 // and bytes/op from the runtime's monotonic allocation counters.
 // allocs/op keeps its fraction: an op whose mean sits near an integer
 // would otherwise read one allocation more or less from run to run. One
-// untimed warm-up call lets lazy structures (prediction caches, interim
-// labelers) reach steady state, matching how the testing package's
+// untimed warm-up call lets lazy structures (prediction caches, the
+// combined memo) reach steady state, matching how the testing package's
 // auto-scaling amortizes them.
 func measureMicro(name string, n int, fn func()) benchRecord {
 	fn()

@@ -97,7 +97,7 @@ func TestLearnerRoundTrip(t *testing.T) {
 		{"NameMatcher", func(t *testing.T) learn.Learner { return namematcher.New() }},
 		{"ContentMatcher", func(t *testing.T) learn.Learner { return contentmatcher.New() }},
 		{"NaiveBayes", func(t *testing.T) learn.Learner { return naivebayes.New() }},
-		{"XMLLearner", func(t *testing.T) learn.Learner { return xmllearner.New(nil, nil) }},
+		{"XMLLearner", func(t *testing.T) learn.Learner { return xmllearner.New(nil) }},
 		{"Stats", func(t *testing.T) learn.Learner { return stats.New() }},
 		{"Format", func(t *testing.T) learn.Learner { return format.New() }},
 		{"Recognizer", func(t *testing.T) learn.Learner {
@@ -225,7 +225,7 @@ func fixtureState(t testing.TB) *core.SystemState {
 		Learners: []learn.Learner{
 			train(namematcher.New()),
 			train(naivebayes.New()),
-			train(xmllearner.New(nil, nil)),
+			train(xmllearner.New(nil)),
 		},
 		Stacker:         stacker,
 		InterimNames:    []string{"NameMatcher", "NaiveBayes"},
@@ -437,7 +437,7 @@ func TestDecodeRejectsLabelMismatch(t *testing.T) {
 			st.Learners = []learn.Learner{
 				trainOn(t, permuted, namematcher.New()),
 				trainOn(t, permuted, naivebayes.New()),
-				trainOn(t, permuted, xmllearner.New(nil, nil)),
+				trainOn(t, permuted, xmllearner.New(nil)),
 			}
 			st.Stacker = restack(t, st.Stacker, permuted)
 		}, "artifact: stacker scores other labels than the mediated schema"},

@@ -150,24 +150,19 @@ type System struct {
 	learners []learn.Learner // trained, aligned with names
 	stacker  *meta.Stacker
 	// The interim ensemble is the non-XML learners stacked on their
-	// own: the XML learner's matching-phase labeler consults it for
-	// sub-element labels (Table 2). It is retained on the system so
-	// model serialization can capture the complete matcher; nil when
-	// the XML learner is disabled or has no base learners to consult.
+	// own: it labels the sub-elements the XML learner reads (Table 2).
+	// It is retained on the system so model serialization can capture
+	// the complete matcher; nil when the XML learner is disabled or has
+	// no base learners to consult.
 	interimNames    []string
 	interimLearners []learn.Learner
 	interimStacker  *meta.Stacker
-	// labeler is the XML learner's matching-phase labeler over the
-	// interim ensemble; nil without an XML learner that consults one.
-	// Match puts the labels of the sub-elements it scores into its
-	// memo, where the XML learner reads them.
-	labeler *ensembleLabeler
-	// combined memoizes post-stacker predictions by instance key, so a
-	// leaf value the system has scored before — in an earlier request,
-	// another listing, or another tag — skips every learner and the
-	// stacker entirely. A pointer, so WithWorkers views share it with
-	// the system they view.
-	combined *memo.Table[learn.Prediction]
+	// combined memoizes post-stacker predictions and interim labels by
+	// instance key, so a value the system has scored before — in an
+	// earlier request, another listing, or another tag — skips every
+	// learner and the stacker entirely. A pointer, so WithWorkers views
+	// share it with the system they view.
+	combined *memo.Table[entry]
 }
 
 // Train runs the training phase of §3.1 on the given training sources
@@ -195,7 +190,7 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	// learners share the instance set; each extracts its own features.
 	examples := ExtractExamples(med, sources, cfg.MaxListings)
 
-	sys := &System{cfg: cfg, mediated: med, labels: table, combined: new(memo.Table[learn.Prediction])}
+	sys := &System{cfg: cfg, mediated: med, labels: table, combined: new(memo.Table[entry])}
 
 	// Step 4: train the base learners.
 	factories := make([]learn.Factory, 0, len(cfg.BaseLearners)+1)
@@ -212,8 +207,6 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 		// training time and with the rest of LSD at matching time
 		// (Table 2). Build the interim ensemble first: the non-XML
 		// learners stacked on their own.
-		trainLab := trainLabeler(sources)
-		var interim *ensembleLabeler
 		if len(cfg.BaseLearners) > 0 {
 			interimStack, err := meta.Train(table, sys.names, factories, examples, cfg.Meta, interimSeed, cfg.Workers)
 			if err != nil {
@@ -226,23 +219,13 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 			if err != nil {
 				return nil, err
 			}
-			interim = &ensembleLabeler{
-				mediated: med, learners: shared, stacker: interimStack,
-			}
-			sys.labeler = interim
 			sys.interimNames = append([]string(nil), sys.names...)
 			sys.interimLearners = shared
 			sys.interimStacker = interimStack
 		}
-		xmlFactory := func() learn.Learner {
-			l := xmllearner.New(trainLab, nil)
-			if interim != nil {
-				l.SetMatchLabeler(interim)
-			}
-			return l
-		}
+		trainLab := trainLabeler(sources)
 		sys.names = append(sys.names, "XMLLearner")
-		factories = append(factories, xmlFactory)
+		factories = append(factories, func() learn.Learner { return xmllearner.New(trainLab) })
 	}
 
 	// Train the final learners the interim ensemble did not: the XML
@@ -255,6 +238,25 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	// The full slice expression makes the append copy, so the interim
 	// list keeps a backing array of its own.
 	sys.learners = append(shared[:n:n], rest...)
+
+	// The XML learner's cross-validation predicts as Match does, with
+	// interim sub-element labels: label every training node once.
+	if sys.labelsSubElements() {
+		var subs []learn.Instance
+		for _, ex := range examples {
+			if isSubElement(ex.Instance) {
+				subs = append(subs, ex.Instance)
+			}
+		}
+		found := sys.interimLabels(subs, nil)
+		subLabels := make(map[*xmltree.Node]string, len(subs))
+		for i, in := range subs {
+			subLabels[in.Node] = found[i]
+		}
+		for i := range examples {
+			examples[i].Instance.SubLabels = subLabels
+		}
+	}
 
 	// Step 5: train the meta-learner by stacking over all learners.
 	stacker, err := meta.Train(table, sys.names, factories, examples, cfg.Meta, finalSeed, cfg.Workers)
@@ -286,7 +288,7 @@ func trainLearners(names []string, factories []learn.Factory, labels []string, e
 
 // trainLabeler builds the training-phase node labeler for the XML
 // learner from the union of the training sources' true mappings.
-func trainLabeler(sources []*Source) xmllearner.NodeLabeler {
+func trainLabeler(sources []*Source) func(*xmltree.Node) string {
 	table := make(map[string]string)
 	for _, s := range sources {
 		for tag, label := range s.Mapping {
@@ -295,12 +297,12 @@ func trainLabeler(sources []*Source) xmllearner.NodeLabeler {
 			}
 		}
 	}
-	return xmllearner.NodeLabelerFunc(func(n *xmltree.Node, _ []string) string {
+	return func(n *xmltree.Node) string {
 		if l, ok := table[n.Tag]; ok {
 			return l
 		}
 		return learn.Other
-	})
+	}
 }
 
 // tagSynonyms expands a tag's words through the mediated schema's
@@ -434,12 +436,33 @@ func (s *System) match(ctx context.Context, src *Source, score scorer, feedback 
 	// the meta-learner), then convert per column.
 	tags := src.Schema.Tags()
 	batches := make([][]learn.Instance, len(tags))
+	declared := 0
 	for ti, tag := range tags {
 		if instances := cols[tag]; len(instances) > 0 {
 			batches[ti] = instances
+			declared++
 		} else {
 			// A tag with no data instances is matched on its name alone.
 			batches[ti] = []learn.Instance{{TagName: tag, Path: src.Schema.PathFromRoot(tag)}}
+		}
+	}
+	if declared < len(cols) {
+		// Elements the source DTD does not declare (the XML is not
+		// validated against it) are scored too, so that every node gets
+		// its interim label; their results stay out of the mapping.
+		isDeclared := make(map[string]bool, len(tags))
+		for _, tag := range tags {
+			isDeclared[tag] = true
+		}
+		var undeclared []string
+		for tag := range cols {
+			if !isDeclared[tag] {
+				undeclared = append(undeclared, tag)
+			}
+		}
+		sort.Strings(undeclared)
+		for _, tag := range undeclared {
+			batches = append(batches, cols[tag])
 		}
 	}
 	perTag, err := score(ctx, batches)

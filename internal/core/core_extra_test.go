@@ -74,8 +74,9 @@ func TestCustomHandlerConfig(t *testing.T) {
 }
 
 func TestXMLLearnerOnlyConfig(t *testing.T) {
-	// The XML learner can run without any other base learner; its
-	// match-phase node labeler then falls back to source tags.
+	// The XML learner can run without any other base learner; with no
+	// interim ensemble to label them, its sub-elements keep their
+	// source tags.
 	cfg := Config{
 		UseXMLLearner:        true,
 		UseConstraintHandler: false,

@@ -31,14 +31,22 @@ func instanceKey(tag string, path []string, content string) string {
 	return b.String()
 }
 
+// nameKey is the key of a name-only instance: tag and root path. It
+// carries no synonyms, unlike an empty leaf with the same tag and path,
+// so the two must not share an entry. The 0x1d prefix byte, impossible
+// at the start of a tag name, keeps its keyspace apart.
+func nameKey(tag string, path []string) string {
+	return "\x1d" + instanceKey(tag, path, "")
+}
+
 // interiorKey is the textual identity of an interior-node instance:
 // root path plus a lossless serialization of the whole subtree. Every
 // feature any learner reads from an interior instance derives from the
 // subtree and the path — the tag is the subtree root's, synonyms are a
 // pure function of the tag, Content() concatenates the subtree's text,
-// and the XML learner's structural tokens (including the child labels
-// its match labeler assigns from each child's tag, path, and content)
-// walk the same tree — so equal keys imply bit-identical predictions.
+// and the XML learner's structural tokens walk the same tree under
+// sub-element labels, each a pure function of a child's tag, path and
+// content — so equal keys imply bit-identical predictions and labels.
 // The 0x1c prefix byte, impossible in a tag name, keeps the interior
 // keyspace disjoint from instanceKey's.
 func interiorKey(path []string, n *xmltree.Node) string {

@@ -2,11 +2,10 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/learn"
 	"repro/internal/learners/xmllearner"
-	"repro/internal/memo"
-	"repro/internal/meta"
 	"repro/internal/parallel"
 	"repro/internal/pool"
 	"repro/internal/xmltree"
@@ -17,14 +16,22 @@ import (
 // one row per instance.
 var predScratch pool.Preds
 
+// entry is one combined-memo value: an instance's combined prediction
+// and, for a sub-element of a system that labels them, its interim
+// label. Both are pure functions of the instance key.
+type entry struct {
+	pred  learn.Prediction
+	label string
+}
+
 // column is one tag's batch deduplicated against itself and the
 // combined memo: the unit both scoring passes work on.
 type column struct {
-	pos   []int              // batch position → unique slot
-	keys  []string           // unique slot → combined-memo key
-	preds []learn.Prediction // unique slot → combined prediction
-	miss  []int              // the unique slots the memo lacked
-	ins   []learn.Instance   // their instances, aligned with miss
+	pos     []int            // batch position → unique slot
+	keys    []string         // unique slot → combined-memo key
+	entries []entry          // unique slot → combined prediction and label
+	miss    []int            // the unique slots the memo lacked
+	ins     []learn.Instance // their instances, aligned with miss
 }
 
 // pass1Result is one column's output of the first scoring pass.
@@ -32,26 +39,23 @@ type pass1Result struct {
 	// base holds learner j's predictions of the misses; nil for the
 	// XML learners, which run in the second pass.
 	base [][]learn.Prediction
-	// labels are the interim labels of the column's sub-element misses.
-	labels []keyedLabel
+	// labels are the interim labels of the misses, aligned with them;
+	// nil when the system labels no sub-elements.
+	labels []string
 }
-
-// keyedLabel is a sub-element's interim label under its label-memo key.
-type keyedLabel struct{ key, label string }
 
 // score scores every tag's batch in two passes over the tags whose
 // columns miss the combined memo. The first runs the non-XML learners,
 // batched, on each column's misses and derives every sub-element
-// miss's interim label from those same predictions. The labels go into
-// the labeler's memo, and the second pass runs the XML learners, which
-// read them there instead of predicting each sub-element again, and
-// then the final stacker.
+// miss's interim label from those same predictions; a hit's label is
+// in its memo entry. The second pass runs the XML learners, which read
+// every node's label from one table, and then the final stacker.
 //
 // Duplicate instances — a column's values repeat across listings — are
-// scored once and share the prediction, which is read-only by the
-// Predict contract. Values seen in earlier requests come out of the
-// combined memo without touching any learner, so a request whose
-// values all hit the memo fans out zero times. Memo reads and writes
+// scored once and share the prediction, which is immutable. Values
+// seen in earlier requests come out of the combined memo without
+// touching any learner, so a request whose values all hit the memo
+// fans out zero times and builds no table. Memo reads and writes
 // happen here, on the request goroutine; the workers only compute.
 func (s *System) score(ctx context.Context, batches [][]learn.Instance) ([][]learn.Prediction, error) {
 	cols := make([]column, len(batches))
@@ -63,17 +67,16 @@ func (s *System) score(ctx context.Context, batches [][]learn.Instance) ([][]lea
 		}
 	}
 	if len(todo) > 0 {
+		label := s.labelsSubElements()
 		first, err := parallel.Map(ctx, s.cfg.Workers, len(todo),
 			func(_ context.Context, k int) (pass1Result, error) {
-				return s.pass1(&cols[todo[k]]), nil
+				return s.pass1(&cols[todo[k]], label), nil
 			})
 		if err != nil {
 			return nil, err
 		}
-		for _, fp := range first {
-			for _, kl := range fp.labels {
-				s.labeler.cache.Put(kl.key, kl.label)
-			}
+		if label {
+			setSubLabels(batches, cols, todo, first)
 		}
 		final, err := parallel.Map(ctx, s.cfg.Workers, len(todo),
 			func(_ context.Context, k int) ([]learn.Prediction, error) {
@@ -85,8 +88,8 @@ func (s *System) score(ctx context.Context, batches [][]learn.Instance) ([][]lea
 		for k, ti := range todo {
 			c := &cols[ti]
 			for m, u := range c.miss {
-				c.preds[u] = final[k][m]
-				s.combined.Put(c.keys[u], final[k][m])
+				c.entries[u].pred = final[k][m]
+				s.combined.Put(c.keys[u], c.entries[u])
 			}
 		}
 	}
@@ -94,7 +97,7 @@ func (s *System) score(ctx context.Context, batches [][]learn.Instance) ([][]lea
 	for ti, c := range cols {
 		out[ti] = make([]learn.Prediction, len(c.pos))
 		for i, u := range c.pos {
-			out[ti][i] = c.preds[u]
+			out[ti][i] = c.entries[u].pred
 		}
 	}
 	return out, nil
@@ -103,28 +106,32 @@ func (s *System) score(ctx context.Context, batches [][]learn.Instance) ([][]lea
 // lookup deduplicates one tag's batch and reads the combined memo.
 // Leaf and text-only instances key on (tag, path, content), which
 // covers every feature any learner reads (see instanceKey); interior
-// nodes key on their full serialized subtree (see interiorKey).
+// nodes key on their full serialized subtree (see interiorKey), and
+// name-only instances on their tag and path alone (see nameKey).
 func (s *System) lookup(batch []learn.Instance) column {
 	c := column{
-		pos:   make([]int, len(batch)),
-		keys:  make([]string, 0, len(batch)),
-		preds: make([]learn.Prediction, 0, len(batch)),
+		pos:     make([]int, len(batch)),
+		keys:    make([]string, 0, len(batch)),
+		entries: make([]entry, 0, len(batch)),
 	}
 	idx := make(map[string]int, len(batch))
 	for i, in := range batch {
 		var key string
-		if in.Node != nil && !in.Node.IsLeaf() {
-			key = interiorKey(in.Path, in.Node)
-		} else {
+		switch {
+		case in.Node == nil:
+			key = nameKey(in.TagName, in.Path)
+		case in.Node.IsLeaf():
 			key = instanceKey(in.TagName, in.Path, in.Content)
+		default:
+			key = interiorKey(in.Path, in.Node)
 		}
 		u, ok := idx[key]
 		if !ok {
 			u = len(c.keys)
 			idx[key] = u
-			p, hit := s.combined.Get(key)
+			e, hit := s.combined.Get(key)
 			c.keys = append(c.keys, key)
-			c.preds = append(c.preds, p)
+			c.entries = append(c.entries, e)
 			if !hit {
 				c.miss = append(c.miss, u)
 				c.ins = append(c.ins, in)
@@ -135,64 +142,104 @@ func (s *System) lookup(batch []learn.Instance) column {
 	return c
 }
 
-// isXML reports whether learner j is an XML learner, which runs in the
-// second pass.
-func (s *System) isXML(j int) bool {
-	_, ok := s.learners[j].(*xmllearner.Learner)
+// isXML reports whether l is an XML learner, which runs in the second
+// pass.
+func isXML(l learn.Learner) bool {
+	_, ok := l.(*xmllearner.Learner)
 	return ok
 }
 
+// labelsSubElements reports whether the system labels sub-elements:
+// it has an XML learner to read the labels and an interim ensemble to
+// predict them.
+func (s *System) labelsSubElements() bool {
+	return s.interimStacker != nil && slices.ContainsFunc(s.learners, isXML)
+}
+
+// isSubElement reports whether in is an element below a listing root.
+// Listing roots and name-only instances are never sub-elements.
+func isSubElement(in learn.Instance) bool { return in.Node != nil && len(in.Path) >= 2 }
+
 // pass1 runs the non-XML learners on a column's misses, each through
-// learn.PredictAll, and labels the sub-elements among them.
-func (s *System) pass1(c *column) pass1Result {
+// learn.PredictAll, and, when label is set, labels the sub-elements
+// among them.
+func (s *System) pass1(c *column, label bool) pass1Result {
 	r := pass1Result{base: make([][]learn.Prediction, len(s.learners))}
 	for j, l := range s.learners {
-		if !s.isXML(j) {
+		if !isXML(l) {
 			r.base[j] = learn.PredictAll(l, c.ins)
 		}
 	}
-	if s.labeler != nil {
-		r.labels = s.labelSubElements(c, r.base)
+	if label {
+		r.labels = s.interimLabels(c.ins, r.base)
 	}
 	return r
 }
 
-// labelSubElements derives the interim label of every sub-element
-// among a column's misses: the interim stacker's best label over the
-// interim learners' predictions, exactly as the labeler's LabelNode
-// derives it. Interim learner j reuses the first pass's predictions
-// when it is the system's learner j; any other interim learner
-// predicts the misses itself. Listing roots and name-only instances
-// are never sub-elements, so they need no label.
-func (s *System) labelSubElements(c *column, base [][]learn.Prediction) []keyedLabel {
-	e := s.labeler
-	interim := make([][]learn.Prediction, len(e.learners))
-	for j, l := range e.learners {
-		if j < len(s.learners) && !s.isXML(j) && l == s.learners[j] {
+// interimLabels returns the interim label of every sub-element among
+// ins, aligned with ins: the interim stacker's best label over the
+// interim learners' predictions, OTHER when it has none. Interim
+// learner j reuses base[j], the system's learner j's predictions of
+// ins, when it is that same learner; any other interim learner
+// predicts ins itself. Other instances get the empty label.
+func (s *System) interimLabels(ins []learn.Instance, base [][]learn.Prediction) []string {
+	interim := make([][]learn.Prediction, len(s.interimLearners))
+	for j, l := range s.interimLearners {
+		if j < len(base) && base[j] != nil && l == s.learners[j] {
 			interim[j] = base[j]
 		} else {
-			interim[j] = learn.PredictAll(l, c.ins)
+			interim[j] = learn.PredictAll(l, ins)
 		}
 	}
-	row := predScratch.Get(len(e.learners))
-	out := make([]keyedLabel, 0, len(c.ins))
-	for i, in := range c.ins {
-		if in.Node == nil || len(in.Path) < 2 {
+	row := predScratch.Get(len(interim))
+	out := make([]string, len(ins))
+	for i, in := range ins {
+		if !isSubElement(in) {
 			continue
 		}
 		for j := range row {
 			row[j] = interim[j][i]
 		}
-		key := c.keys[c.miss[i]]
-		if !in.Node.IsLeaf() {
-			// An interior node's combined-memo key is its subtree; the
-			// labeler keys it like a leaf.
-			key = instanceKey(in.TagName, in.Path, in.Content)
+		best, _ := s.interimStacker.Combine(row).Best()
+		if best == "" {
+			best = learn.Other
 		}
-		out = append(out, keyedLabel{key: key, label: e.label(row)})
+		out[i] = best
 	}
 	predScratch.Put(row)
 	return out
+}
+
+// setSubLabels keeps each miss's label from the first pass in its
+// entry, maps every sub-element of the batches to its unique slot's
+// label, and hands that table to the misses for the second pass. The
+// table lives for one match.
+func setSubLabels(batches [][]learn.Instance, cols []column, todo []int, first []pass1Result) {
+	for k, ti := range todo {
+		c := &cols[ti]
+		for m, u := range c.miss {
+			c.entries[u].label = first[k].labels[m]
+		}
+	}
+	n := 0
+	for _, batch := range batches {
+		n += len(batch)
+	}
+	table := make(map[*xmltree.Node]string, n)
+	for ti, batch := range batches {
+		c := &cols[ti]
+		for i, in := range batch {
+			if isSubElement(in) {
+				table[in.Node] = c.entries[c.pos[i]].label
+			}
+		}
+	}
+	for _, ti := range todo {
+		c := &cols[ti]
+		for m := range c.ins {
+			c.ins[m].SubLabels = table
+		}
+	}
 }
 
 // pass2 runs the XML learners on a column's misses and stacks every
@@ -200,7 +247,7 @@ func (s *System) labelSubElements(c *column, base [][]learn.Prediction) []keyedL
 func (s *System) pass2(ins []learn.Instance, base [][]learn.Prediction) []learn.Prediction {
 	all := make([][]learn.Prediction, len(s.learners))
 	for j, l := range s.learners {
-		if s.isXML(j) {
+		if isXML(l) {
 			all[j] = learn.PredictAll(l, ins)
 		} else {
 			all[j] = base[j]
@@ -216,53 +263,4 @@ func (s *System) pass2(ins []learn.Instance, base [][]learn.Prediction) []learn.
 	}
 	predScratch.Put(row)
 	return out
-}
-
-// ensembleLabeler labels a node with the best combined prediction of a
-// set of trained learners — the "LSD with other base learners" oracle
-// the XML learner consults for sub-element labels. The labeler is
-// fixed once trained, so labels memoize in a bounded cache keyed by
-// the textual instance key (tag, path, content), shared across
-// cross-validation folds, listings and serve requests. Match fills the
-// cache from its own predictions before the XML learner runs (see
-// score); LabelNode predicts a label itself during training and for a
-// sub-element whose label the cache has dropped.
-type ensembleLabeler struct {
-	mediated *Mediated
-	learners []learn.Learner
-	stacker  *meta.Stacker
-	cache    memo.Table[string]
-}
-
-// LabelNode implements xmllearner.NodeLabeler.
-func (e *ensembleLabeler) LabelNode(n *xmltree.Node, path []string) string {
-	content := n.Content()
-	key := instanceKey(n.Tag, path, content)
-	if label, ok := e.cache.Get(key); ok {
-		return label
-	}
-	in := learn.Instance{
-		TagName:  n.Tag,
-		Path:     append([]string(nil), path...),
-		Synonyms: tagSynonyms(e.mediated, n.Tag),
-		Content:  content,
-		Node:     n,
-	}
-	preds := make([]learn.Prediction, len(e.learners))
-	for i, l := range e.learners {
-		preds[i] = l.Predict(in)
-	}
-	label := e.label(preds)
-	e.cache.Put(key, label)
-	return label
-}
-
-// label returns the interim stacker's best label over one instance's
-// interim predictions, OTHER when it has none.
-func (e *ensembleLabeler) label(preds []learn.Prediction) string {
-	best, _ := e.stacker.Combine(preds).Best()
-	if best == "" {
-		best = learn.Other
-	}
-	return best
 }

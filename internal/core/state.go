@@ -1,8 +1,8 @@
 // Trained-system snapshot and restore: the bridge between the training
 // pipeline and the model-artifact layer (internal/artifact). A System
 // is immutable after Train — frozen vocabularies, precomputed tables,
-// fitted weights — so its state is plain data plus the small amount of
-// wiring (the XML learner's ensemble labeler) FromState rebuilds.
+// fitted weights — so its state is plain data, and FromState builds a
+// system on it without writing to any learner.
 package core
 
 import (
@@ -11,7 +11,6 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/dtd"
 	"repro/internal/learn"
-	"repro/internal/learners/xmllearner"
 	"repro/internal/memo"
 	"repro/internal/meta"
 )
@@ -46,8 +45,8 @@ type SystemState struct {
 	Learners []learn.Learner
 	Stacker  *meta.Stacker
 
-	// The interim ensemble consulted by the XML learner's matching
-	// labeler; empty when the XML learner is absent or stand-alone.
+	// The interim ensemble that labels sub-elements while matching;
+	// empty when the XML learner is absent or stand-alone.
 	InterimNames    []string
 	InterimLearners []learn.Learner
 	InterimStacker  *meta.Stacker
@@ -85,10 +84,10 @@ func (s *System) State() *SystemState {
 }
 
 // FromState rebuilds a trained System from a snapshot: it re-parses
-// the mediated schema, reconstructs the constraint set from its specs,
-// and re-wires the XML learner's matching labeler to the restored
-// interim ensemble. workers sets the rebuilt system's worker budget
-// (same semantics as Config.Workers).
+// the mediated schema and reconstructs the constraint set from its
+// specs. It writes to nothing in st, so several systems may be built
+// from one snapshot and share its learners. workers sets the rebuilt
+// system's worker budget (same semantics as Config.Workers).
 func FromState(st *SystemState, workers int) (*System, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil system state")
@@ -131,7 +130,7 @@ func FromState(st *SystemState, workers int) (*System, error) {
 		names:    append([]string(nil), st.Names...),
 		learners: append([]learn.Learner(nil), st.Learners...),
 		stacker:  st.Stacker,
-		combined: new(memo.Table[learn.Prediction]),
+		combined: new(memo.Table[entry]),
 	}
 	if len(st.InterimLearners) > 0 {
 		if st.InterimStacker == nil {
@@ -140,15 +139,6 @@ func FromState(st *SystemState, workers int) (*System, error) {
 		sys.interimNames = append([]string(nil), st.InterimNames...)
 		sys.interimLearners = append([]learn.Learner(nil), st.InterimLearners...)
 		sys.interimStacker = st.InterimStacker
-		labeler := &ensembleLabeler{
-			mediated: med, learners: sys.interimLearners, stacker: sys.interimStacker,
-		}
-		for _, l := range sys.learners {
-			if xl, ok := l.(*xmllearner.Learner); ok {
-				xl.SetMatchLabeler(labeler)
-				sys.labeler = labeler
-			}
-		}
 	}
 	return sys, nil
 }

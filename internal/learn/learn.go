@@ -38,6 +38,10 @@ type Instance struct {
 	Content string
 	// Node is the element tree; nil for purely textual instances.
 	Node *xmltree.Node
+	// SubLabels maps each node below Node to its interim label, the one
+	// the rest of LSD predicts for it (Table 2). Only the XML learner
+	// reads it; nil keeps sub-element tags verbatim.
+	SubLabels map[*xmltree.Node]string
 }
 
 // ExpandedName returns the tag name expanded with its path and

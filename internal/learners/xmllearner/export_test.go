@@ -3,16 +3,14 @@ package xmllearner
 import (
 	"repro/internal/learn"
 	"repro/internal/text"
+	"repro/internal/xmltree"
 )
-
-// MatchLabeler returns the matching-phase labeler.
-func (l *Learner) MatchLabeler() NodeLabeler { return l.matchLabeler }
 
 // Vocab returns the trained vocabulary.
 func (l *Learner) Vocab() *text.Vocab { return l.nb.Vocab() }
 
 // SparseBag is sparseBag, the id bag Predict scores.
-func (l *Learner) SparseBag(in learn.Instance, labeler NodeLabeler) text.SparseBag {
+func (l *Learner) SparseBag(in learn.Instance, labeler func(*xmltree.Node) string) text.SparseBag {
 	return l.sparseBag(in, labeler)
 }
 

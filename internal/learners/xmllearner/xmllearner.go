@@ -11,7 +11,8 @@
 // During training the sub-element labels are the true labels given by
 // the user's 1-1 mappings; during matching they are predicted by the
 // rest of LSD (the other base learners combined by the meta-learner),
-// exactly as Table 2 of the paper prescribes.
+// exactly as Table 2 of the paper prescribes, and arrive with each
+// instance (learn.Instance.SubLabels).
 package xmllearner
 
 import (
@@ -30,67 +31,37 @@ import (
 // source-specific root tag.
 const genericRoot = "d"
 
-// NodeLabeler assigns a label to a sub-element of an instance. The
-// training phase uses the true mappings; the matching phase uses the
-// predictions of the other base learners combined by the meta-learner.
-type NodeLabeler interface {
-	// LabelNode returns the label for the element node whose
-	// root-to-node tag path is path. path is only valid for the
-	// duration of the call: the walk reuses one path buffer, so an
-	// implementation that retains it must copy it first.
-	LabelNode(node *xmltree.Node, path []string) string
-}
-
-// NodeLabelerFunc adapts a function to the NodeLabeler interface.
-type NodeLabelerFunc func(node *xmltree.Node, path []string) string
-
-// LabelNode implements NodeLabeler.
-func (f NodeLabelerFunc) LabelNode(node *xmltree.Node, path []string) string {
-	return f(node, path)
-}
-
-// Learner is the XML learner. Its training labeler, New's first
-// argument, labels sub-elements while it trains; its matching labeler,
-// New's second argument or the one SetMatchLabeler installs once the
-// rest of LSD is trained, labels them while it predicts.
+// Learner is the XML learner. New's argument labels sub-elements while
+// it trains; while it predicts, each instance brings the labels of its
+// sub-elements. A trained or restored learner is never written again,
+// so systems may share it.
 type Learner struct {
 	nb *naivebayes.Learner
 	// index finds the ids of nb's structural tokens; built at Train and
 	// Restore, empty before.
 	index        *tokenIndex
-	trainLabeler NodeLabeler
-	matchLabeler NodeLabeler
+	trainLabeler func(*xmltree.Node) string
 }
 
 // New returns an untrained XML learner. trainLabeler labels
-// sub-elements during training (from the user's 1-1 mappings);
-// matchLabeler labels them during matching (from the rest of LSD).
-// Either may be nil, in which case sub-element tags are kept verbatim —
-// useful in isolation tests but not the paper's configuration.
-func New(trainLabeler, matchLabeler NodeLabeler) *Learner {
+// sub-elements during training (from the user's 1-1 mappings); nil
+// keeps their tags verbatim — useful in isolation tests but not the
+// paper's configuration.
+func New(trainLabeler func(*xmltree.Node) string) *Learner {
 	return &Learner{
 		nb:           naivebayes.New(),
 		index:        &tokenIndex{},
 		trainLabeler: trainLabeler,
-		matchLabeler: matchLabeler,
 	}
 }
 
-// SetMatchLabeler replaces the matching-phase labeler. The LSD pipeline
-// calls this after the meta-learner is trained, resolving the circular
-// dependency between the XML learner and the ensemble it consults.
-func (l *Learner) SetMatchLabeler(nl NodeLabeler) { l.matchLabeler = nl }
-
 // State snapshots the trained learner's Naive Bayes model for
-// serialization; nil if untrained. The labelers are code, not data:
-// the training labeler is only needed during Train, and the matching
-// labeler is rebuilt by the pipeline from the serialized interim
-// ensemble and re-attached with SetMatchLabeler.
+// serialization; nil if untrained. The training labeler is code, not
+// data, and only Train needs it.
 func (l *Learner) State() *naivebayes.State { return l.nb.State() }
 
 // Restore rebuilds a trained XML learner from its serialized Naive
-// Bayes state. The caller re-attaches the matching-phase labeler with
-// SetMatchLabeler; until then sub-element tags pass through verbatim.
+// Bayes state.
 func Restore(st *naivebayes.State) (*Learner, error) {
 	nb, err := naivebayes.Restore(st)
 	if err != nil {
@@ -122,16 +93,21 @@ func (l *Learner) Train(labels []string, examples []learn.Example) error {
 }
 
 // Predict builds the instance's structural token bag as vocabulary
-// ids, labelling sub-elements with the matching-phase labeler, and
-// returns the Naive Bayes posterior over the bag.
+// ids, labelling each sub-element with in.SubLabels, and returns the
+// Naive Bayes posterior over the bag.
 func (l *Learner) Predict(in learn.Instance) learn.Prediction {
-	return l.nb.PredictSparse(l.sparseBag(in, l.matchLabeler))
+	var labeler func(*xmltree.Node) string
+	if labels := in.SubLabels; labels != nil {
+		labeler = func(n *xmltree.Node) string { return labels[n] }
+	}
+	return l.nb.PredictSparse(l.sparseBag(in, labeler))
 }
 
 // TokenBag generates the bag of text, node, and edge tokens for an
 // instance (Table 2 step 3 / Figure 7.f), spelled as strings: the form
-// training interns. Exposed for tests and for the ablation benches.
-func (l *Learner) TokenBag(in learn.Instance, labeler NodeLabeler) text.Bag {
+// training interns, labelling each sub-element with labeler (nil keeps
+// its tag). Exposed for tests.
+func (l *Learner) TokenBag(in learn.Instance, labeler func(*xmltree.Node) string) text.Bag {
 	s := sink{bag: text.Bag{}}
 	s.walk(in, labeler)
 	return s.bag
@@ -141,7 +117,7 @@ func (l *Learner) TokenBag(in learn.Instance, labeler NodeLabeler) text.Bag {
 // onto the trained vocabulary as it goes, so no token is spelled as a
 // string. The result equals the vocabulary's SparseBag of TokenBag's
 // bag; before training every token is out of vocabulary.
-func (l *Learner) sparseBag(in learn.Instance, labeler NodeLabeler) text.SparseBag {
+func (l *Learner) sparseBag(in learn.Instance, labeler func(*xmltree.Node) string) text.SparseBag {
 	s := sink{index: l.index, ids: make([]text.ID, 0, 64)}
 	s.walk(in, labeler)
 	return s.sparse()
@@ -160,7 +136,7 @@ type sink struct {
 }
 
 // walk feeds the tokens of an instance's Table 2 tree to s.
-func (s *sink) walk(in learn.Instance, labeler NodeLabeler) {
+func (s *sink) walk(in learn.Instance, labeler func(*xmltree.Node) string) {
 	if in.Node == nil {
 		// Fall back to plain text tokens: a flat instance has no
 		// structure, so the learner degrades to Naive Bayes.
@@ -169,32 +145,21 @@ func (s *sink) walk(in learn.Instance, labeler NodeLabeler) {
 		}
 		return
 	}
-	// Copy the instance path into a private buffer with headroom:
-	// collect extends it in place while walking (one allocation per
-	// bag, not one per visited child), which is safe because labelers
-	// must not retain the path slice they are handed.
-	path := make([]string, len(in.Path), len(in.Path)+8)
-	copy(path, in.Path)
-	s.collect(in.Node, genericRoot, path, labeler)
+	s.collect(in.Node, genericRoot, labeler)
 }
 
 // collect walks the children of node, whose resolved label is
-// parentLabel, feeding tokens to s. path is the tag path from the
-// document root to node.
-func (s *sink) collect(node *xmltree.Node, parentLabel string, path []string, labeler NodeLabeler) {
+// parentLabel, feeding tokens to s.
+func (s *sink) collect(node *xmltree.Node, parentLabel string, labeler func(*xmltree.Node) string) {
 	// Words directly under this node.
 	for _, w := range naivebayes.Tokens(node.Text) {
 		s.word(w)
 		s.edge(parentLabel, w)
 	}
 	for _, child := range node.Children {
-		// Extend the shared path buffer in place; truncation on the next
-		// iteration reuses the same backing array. LabelNode must not
-		// retain the slice (see NodeLabeler), and NewInstance copies it.
-		childPath := append(path, child.Tag)
 		label := child.Tag
 		if labeler != nil {
-			label = labeler.LabelNode(child, childPath)
+			label = labeler(child)
 		}
 		if child.IsLeaf() {
 			// Leaf sub-elements contribute their words under the
@@ -211,7 +176,7 @@ func (s *sink) collect(node *xmltree.Node, parentLabel string, path []string, la
 		}
 		s.node(label)
 		s.edge(parentLabel, label)
-		s.collect(child, label, childPath, labeler)
+		s.collect(child, label, labeler)
 	}
 }
 

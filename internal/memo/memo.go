@@ -1,7 +1,7 @@
 // Package memo is the bounded memo table behind every prediction
-// cache: WHIRL's text→prediction cache, the ensemble labeler's label
-// memo and the system's combined-prediction memo. The eviction policy
-// lives here and nowhere else.
+// cache: WHIRL's text→prediction cache and the system's combined memo,
+// whose entries carry an instance's combined prediction and interim
+// label together. The eviction policy lives here and nowhere else.
 //
 // A Table splits its keys over a fixed number of lock domains by hash,
 // so concurrent lookups of different keys take different locks. Each
