@@ -40,18 +40,19 @@ const (
 	secConfig   = "config"   // matching-phase Config scalars
 	secMediated = "mediated" // DTD, synonyms, hierarchy, constraints, labels
 	secEnsemble = "ensemble" // final learners + stacker
-	secInterim  = "interim"  // interim ensemble behind the XML learner
+	secInterim  = "interim"  // interim stacker behind the XML learner
 )
 
 // sectionEncodings maps each known section to the newest payload
 // encoding this reader understands. A section tagged higher is refused
-// (version skew); unknown section names are skipped instead.
+// (version skew); unknown section names are skipped instead. The
+// interim section's encoding 1 also held its learners (decodeSection).
 var sectionEncodings = map[string]uint16{
 	secModel:    1,
 	secConfig:   1,
 	secMediated: 1,
 	secEnsemble: 1,
-	secInterim:  1,
+	secInterim:  2,
 }
 
 // Learner kind tags inside ensemble sections.
@@ -119,15 +120,10 @@ func Encode(name string, st *core.SystemState) ([]byte, error) {
 	}
 	section(w, secEnsemble, ens)
 
-	if len(st.InterimLearners) > 0 {
-		if st.InterimStacker == nil {
-			return nil, fmt.Errorf("artifact: interim learners without an interim stacker")
-		}
-		in, err := encodeEnsemble(st.InterimNames, st.InterimLearners, st.InterimStacker)
-		if err != nil {
-			return nil, err
-		}
-		section(w, secInterim, in)
+	if st.InterimStacker != nil {
+		in := &writer{}
+		encodeStacker(in, st.InterimStacker.State())
+		section(w, secInterim, in.buf)
 	}
 
 	w.u8('E')
@@ -193,9 +189,9 @@ func Decode(data []byte) (*Decoded, error) {
 		State:         &core.SystemState{},
 	}
 	seen := map[string]bool{}
-	// The learner records of the first ensemble section decoded, which
-	// the other may share (see decodeEnsemble).
-	var first []learnerRecord
+	// The ensemble's learner records, which an encoding-1 interim
+	// section must repeat (see decodeSection).
+	var ensemble []learnerRecord
 	for {
 		marker := r.u8()
 		if r.failed() {
@@ -225,11 +221,14 @@ func Decode(data []byte) (*Decoded, error) {
 		if enc > max {
 			return nil, fmt.Errorf("artifact: section %q encoding %d is newer than supported %d", name, enc, max)
 		}
+		if enc == 0 {
+			return nil, fmt.Errorf("artifact: section %q has encoding 0", name)
+		}
 		if seen[name] {
 			return nil, fmt.Errorf("artifact: duplicate section %q", name)
 		}
 		seen[name] = true
-		if err := decodeSection(name, sr, d, &first); err != nil {
+		if err := decodeSection(name, enc, sr, d, &ensemble); err != nil {
 			return nil, err
 		}
 	}
@@ -254,10 +253,10 @@ func Decode(data []byte) (*Decoded, error) {
 	return d, nil
 }
 
-// decodeSection decodes one known section into d. first holds the
-// learner records of the ensemble section decoded first: the second
-// shares its instances where the records agree.
-func decodeSection(name string, r *reader, d *Decoded, first *[]learnerRecord) error {
+// decodeSection decodes one known section, written at encoding enc,
+// into d. ensemble holds the ensemble section's learner records once it
+// is decoded.
+func decodeSection(name string, enc uint16, r *reader, d *Decoded, ensemble *[]learnerRecord) error {
 	switch name {
 	case secModel:
 		d.Name = r.str()
@@ -265,18 +264,27 @@ func decodeSection(name string, r *reader, d *Decoded, first *[]learnerRecord) e
 		decodeConfig(r, &d.State.Config)
 	case secMediated:
 		decodeMediated(r, d.State)
-	case secEnsemble, secInterim:
-		names, learners, stacker, recs, err := decodeEnsemble(r, *first)
-		if err != nil {
+	case secEnsemble:
+		var err error
+		if *ensemble, err = decodeEnsemble(r, d.State); err != nil {
 			return err
 		}
-		if *first == nil {
-			*first = recs
+	case secInterim:
+		// Encoding 1 also held copies of the learners the interim
+		// stacker combines: they are read, checked, and dropped.
+		var copies []learnerRecord
+		var err error
+		if enc == 1 {
+			copies, err = readRecords(r)
 		}
-		if name == secEnsemble {
-			d.State.Names, d.State.Learners, d.State.Stacker = names, learners, stacker
-		} else {
-			d.State.InterimNames, d.State.InterimLearners, d.State.InterimStacker = names, learners, stacker
+		if err == nil {
+			d.State.InterimStacker, err = decodeStacker(r)
+		}
+		if err == nil && enc == 1 {
+			err = sameRecords(copies, *ensemble, d.State.InterimStacker.Len())
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if r.failed() {
@@ -470,71 +478,86 @@ func encodeEnsemble(names []string, learners []learn.Learner, stacker *meta.Stac
 	return w.buf, nil
 }
 
-// learnerRecord is one decoded learner with the record it came from.
-// The interim ensemble's learners are the final ensemble's first
-// learners, so an artifact of a trained system carries each of them
-// twice, byte for byte; decoding restores one instance for both, as
-// training built them.
+// learnerRecord is one learner record of an ensemble section, not
+// decoded.
 type learnerRecord struct {
 	name, kind string
 	payload    []byte
-	learner    learn.Learner
-	labels     []string
 }
 
-// decodeEnsemble decodes an ensemble section. Learner i reuses
-// prior[i]'s instance, without decoding its payload again, when both
-// records give the same name, kind and payload bytes.
-func decodeEnsemble(r *reader, prior []learnerRecord) ([]string, []learn.Learner, *meta.Stacker, []learnerRecord, error) {
+// readRecords reads an ensemble section's learner names and records.
+func readRecords(r *reader) ([]learnerRecord, error) {
 	names := r.strs()
 	n := r.count(2)
 	if r.failed() {
-		return nil, nil, nil, nil, r.err
+		return nil, r.err
 	}
 	if n != len(names) {
-		return nil, nil, nil, nil, fmt.Errorf("artifact: %d names for %d learners", len(names), n)
+		return nil, fmt.Errorf("artifact: %d names for %d learners", len(names), n)
 	}
-	recs := make([]learnerRecord, 0, n)
-	for i := 0; i < n; i++ {
+	recs := make([]learnerRecord, n)
+	for i := range recs {
 		kind := r.str()
 		plen := r.uvarint()
 		if r.failed() {
-			return nil, nil, nil, nil, r.err
+			return nil, r.err
 		}
 		if plen > uint64(r.remaining()) {
-			return nil, nil, nil, nil, fmt.Errorf("artifact: learner %q claims %d bytes, %d remain", names[i], plen, r.remaining())
+			return nil, fmt.Errorf("artifact: learner %q claims %d bytes, %d remain", names[i], plen, r.remaining())
 		}
-		lr := r.sub(int(plen))
-		rec := learnerRecord{name: names[i], kind: kind, payload: lr.data}
-		if i < len(prior) && prior[i].name == rec.name && prior[i].kind == kind && bytes.Equal(prior[i].payload, rec.payload) {
-			rec.learner, rec.labels = prior[i].learner, prior[i].labels
-			recs = append(recs, rec)
-			continue
-		}
-		l, labels, err := decodeLearner(kind, lr)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("artifact: learner %q: %w", names[i], err)
-		}
-		if lr.remaining() != 0 {
-			return nil, nil, nil, nil, fmt.Errorf("artifact: learner %q has %d trailing bytes", names[i], lr.remaining())
-		}
-		rec.learner, rec.labels = l, labels
-		recs = append(recs, rec)
+		recs[i] = learnerRecord{name: names[i], kind: kind, payload: r.sub(int(plen)).data}
 	}
-	stacker, err := decodeStacker(r)
+	return recs, nil
+}
+
+// decodeEnsemble decodes the ensemble section into st's learners and
+// stacker, and returns its learner records.
+func decodeEnsemble(r *reader, st *core.SystemState) ([]learnerRecord, error) {
+	recs, err := readRecords(r)
+	if err == nil {
+		st.Stacker, err = decodeStacker(r)
+	}
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
-	// The stacker combines the learners' predictions label by label, so
-	// every learner must score the stacker's labels in the same order.
-	learners := make([]learn.Learner, len(recs))
+	st.Names = make([]string, len(recs))
+	st.Learners = make([]learn.Learner, len(recs))
 	for i, rec := range recs {
-		if !slices.Equal(rec.labels, stacker.Labels().Names()) {
-			return nil, nil, nil, nil, fmt.Errorf("artifact: learner %q scores other labels than its stacker", names[i])
+		lr := newReader(rec.payload)
+		var labels []string
+		st.Names[i] = rec.name
+		st.Learners[i], labels, err = decodeLearner(rec.kind, lr)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("artifact: learner %q: %w", rec.name, err)
+		case lr.remaining() != 0:
+			return nil, fmt.Errorf("artifact: learner %q has %d trailing bytes", rec.name, lr.remaining())
+		// The stacker combines the learners' predictions label by label,
+		// so every learner must score the stacker's labels in its order.
+		case !slices.Equal(labels, st.Stacker.Labels().Names()):
+			return nil, fmt.Errorf("artifact: learner %q scores other labels than its stacker", rec.name)
 		}
-		learners[i] = rec.learner
 	}
-	return names, learners, stacker, recs, nil
+	return recs, nil
+}
+
+// sameRecords checks the learner records of an encoding-1 interim
+// section against the ensemble's: one for each of the k learners its
+// stacker combines, each equal to the ensemble's record at its position
+// in name, kind and payload bytes.
+func sameRecords(copies, ensemble []learnerRecord, k int) error {
+	switch {
+	case ensemble == nil:
+		return fmt.Errorf("artifact: section %q at encoding 1 precedes section %q", secInterim, secEnsemble)
+	case len(copies) != k:
+		return fmt.Errorf("artifact: interim section has %d learner records for a stacker over %d", len(copies), k)
+	}
+	for i, c := range copies {
+		if i >= len(ensemble) || c.name != ensemble[i].name || c.kind != ensemble[i].kind || !bytes.Equal(c.payload, ensemble[i].payload) {
+			return fmt.Errorf("artifact: interim learner %q differs from the ensemble's learner %d", c.name, i)
+		}
+	}
+	return nil
 }
 
 func encodeStacker(w *writer, st *meta.StackerState) {

@@ -227,10 +227,8 @@ func fixtureState(t testing.TB) *core.SystemState {
 			train(naivebayes.New()),
 			train(xmllearner.New(nil)),
 		},
-		Stacker:         stacker,
-		InterimNames:    []string{"NameMatcher", "NaiveBayes"},
-		InterimLearners: []learn.Learner{train(namematcher.New()), train(naivebayes.New())},
-		InterimStacker:  interimStacker,
+		Stacker:        stacker,
+		InterimStacker: interimStacker,
 	}
 }
 
@@ -289,9 +287,6 @@ func TestDecodedSystem(t *testing.T) {
 	}
 	for i, l := range d.State.Learners {
 		checkSamePredictions(t, st.Learners[i], l)
-	}
-	for i, l := range d.State.InterimLearners {
-		checkSamePredictions(t, st.InterimLearners[i], l)
 	}
 }
 
@@ -431,7 +426,7 @@ func TestDecodeRejectsLabelMismatch(t *testing.T) {
 			st.Learners[1] = trainOn(t, []string{"PRICE", "OTHER"}, naivebayes.New())
 		}, `learner "NaiveBayes" scores other labels than its stacker`},
 		{"learner over permuted labels", func(t *testing.T, st *core.SystemState) {
-			st.InterimLearners[0] = trainOn(t, permuted, namematcher.New())
+			st.Learners[0] = trainOn(t, permuted, namematcher.New())
 		}, `learner "NameMatcher" scores other labels than its stacker`},
 		{"permuted ensemble", func(t *testing.T, st *core.SystemState) {
 			st.Learners = []learn.Learner{
@@ -442,10 +437,6 @@ func TestDecodeRejectsLabelMismatch(t *testing.T) {
 			st.Stacker = restack(t, st.Stacker, permuted)
 		}, "artifact: stacker scores other labels than the mediated schema"},
 		{"permuted interim ensemble", func(t *testing.T, st *core.SystemState) {
-			st.InterimLearners = []learn.Learner{
-				trainOn(t, permuted, namematcher.New()),
-				trainOn(t, permuted, naivebayes.New()),
-			}
 			st.InterimStacker = restack(t, st.InterimStacker, permuted)
 		}, "interim stacker scores other labels than the mediated schema"},
 	}
@@ -593,8 +584,8 @@ func TestGolden(t *testing.T) {
 	if d.Name != "golden" {
 		t.Errorf("golden name %q, want %q", d.Name, "golden")
 	}
-	if len(d.State.Learners) != 3 || len(d.State.InterimLearners) != 2 {
-		t.Errorf("golden learners %d/%d, want 3/2", len(d.State.Learners), len(d.State.InterimLearners))
+	if len(d.State.Learners) != 3 || d.State.InterimStacker.Len() != 2 {
+		t.Errorf("golden learners %d, interim %d, want 3/2", len(d.State.Learners), d.State.InterimStacker.Len())
 	}
 	if _, err := d.System(1); err != nil {
 		t.Errorf("golden System: %v", err)
@@ -603,31 +594,14 @@ func TestGolden(t *testing.T) {
 
 // TestGoldenFutureSection decodes a committed artifact that carries a
 // section this reader has never heard of — the forward-compatibility
-// contract pinned as bytes on disk.
+// contract pinned as bytes on disk. The file predates the interim
+// section's encoding 2, so it also pins the encoding-1 layout beside an
+// unknown section; it is not regenerated.
 func TestGoldenFutureSection(t *testing.T) {
 	path := filepath.Join("testdata", "future_section_v1.bin")
-	if *update {
-		st := fixtureState(t)
-		data, err := Encode("golden", st)
-		if err != nil {
-			t.Fatalf("Encode: %v", err)
-		}
-		body := data[:len(data)-checksumSize]
-		w := &writer{buf: append([]byte(nil), body[:len(body)-1]...)}
-		w.u8('S')
-		w.str("embedding-index")
-		w.u16(1)
-		payload := []byte("payload from a future writer")
-		w.uvarint(uint64(len(payload)))
-		w.bytes(payload)
-		w.u8('E')
-		if err := os.WriteFile(path, reseal(w.buf), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading golden file (run `go test ./internal/artifact -update` to create): %v", err)
+		t.Fatal(err)
 	}
 	d, err := Decode(data)
 	if err != nil {
@@ -641,60 +615,290 @@ func TestGoldenFutureSection(t *testing.T) {
 	}
 }
 
-// TestDecodeSharesInterimLearners: an artifact whose interim learners
-// carry the same name, kind and payload bytes as the first final
-// learners decodes to one instance for both lists, as training built
-// them, and re-encodes to the same bytes. A record that differs in its
-// payload or its name keeps an instance of its own.
-func TestDecodeSharesInterimLearners(t *testing.T) {
-	st := fixtureState(t)
-	data, err := Encode("shared", st)
+// rawSection is one section record of an artifact, not decoded.
+type rawSection struct {
+	name    string
+	enc     uint16
+	payload []byte
+}
+
+// splitSections returns the section records of an artifact in order.
+func splitSections(t testing.TB, data []byte) []rawSection {
+	t.Helper()
+	r := newReader(data[:len(data)-checksumSize])
+	r.off = len(magic) + 2
+	var secs []rawSection
+	for r.u8() == 'S' {
+		sec := rawSection{name: r.str(), enc: r.u16()}
+		sec.payload = r.sub(int(r.uvarint())).data
+		secs = append(secs, sec)
+	}
+	if r.failed() || r.remaining() != 0 {
+		t.Fatalf("splitting artifact: %v, %d bytes left", r.err, r.remaining())
+	}
+	return secs
+}
+
+// joinSections seals section records into an artifact.
+func joinSections(secs []rawSection) []byte {
+	w := &writer{}
+	w.bytes([]byte(magic))
+	w.u16(FormatVersion)
+	for _, sec := range secs {
+		w.u8('S')
+		w.str(sec.name)
+		w.u16(sec.enc)
+		w.uvarint(uint64(len(sec.payload)))
+		w.bytes(sec.payload)
+	}
+	w.u8('E')
+	return reseal(w.buf)
+}
+
+// encodeInterim1 encodes st under name in the layout artifacts had
+// before the interim section's encoding 2: that section at encoding 1,
+// holding the records of the given learners before the interim stacker.
+func encodeInterim1(t testing.TB, name string, st *core.SystemState, names []string, learners []learn.Learner) []byte {
+	t.Helper()
+	data, err := Encode(name, st)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	d, err := Decode(data)
+	payload, err := encodeEnsemble(names, learners, st.InterimStacker)
+	if err != nil {
+		t.Fatalf("encodeEnsemble: %v", err)
+	}
+	secs := splitSections(t, data)
+	for i := range secs {
+		if secs[i].name == secInterim {
+			secs[i] = rawSection{secInterim, 1, payload}
+		}
+	}
+	return joinSections(secs)
+}
+
+// interim1Path is an artifact of fixtureState written before the
+// interim section's encoding 2: the golden file of that format.
+var interim1Path = filepath.Join("testdata", "interim_encoding1_v1.bin")
+
+// TestInterimSectionHoldsNoLearnerRecord: Encode writes the interim
+// section at encoding 2, and its payload is the interim stacker alone.
+func TestInterimSectionHoldsNoLearnerRecord(t *testing.T) {
+	st := fixtureState(t)
+	data, err := Encode("fixture", st)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	want := &writer{}
+	encodeStacker(want, st.InterimStacker.State())
+	found := false
+	for _, sec := range splitSections(t, data) {
+		if sec.name != secInterim {
+			continue
+		}
+		found = true
+		if sec.enc != 2 || !bytes.Equal(sec.payload, want.buf) {
+			t.Errorf("interim section at encoding %d with %d payload bytes, want encoding 2 with the stacker's %d",
+				sec.enc, len(sec.payload), len(want.buf))
+		}
+	}
+	if !found {
+		t.Fatal("no interim section")
+	}
+}
+
+// TestDecodeInterimEncoding1 decodes the committed encoding-1 artifact:
+// its interim learner records repeat the ensemble's and are dropped.
+// Its learners predict as those of the encoding-2 artifact of the same
+// state, and it re-encodes to the golden encoding-2 bytes.
+func TestDecodeInterimEncoding1(t *testing.T) {
+	old, err := os.ReadFile(interim1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := fixtureState(t)
+	if got := encodeInterim1(t, "golden", st, st.Names[:2], st.Learners[:2]); !bytes.Equal(got, old) {
+		t.Fatalf("encodeInterim1 does not rebuild %s", interim1Path)
+	}
+	d, err := Decode(old)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	sys, err := d.System(1)
-	if err != nil {
+	if _, err := d.System(1); err != nil {
 		t.Fatalf("System: %v", err)
 	}
-	sst := sys.State()
-	for j := range st.InterimLearners {
-		if d.State.InterimLearners[j] != d.State.Learners[j] || sst.InterimLearners[j] != sst.Learners[j] {
-			t.Errorf("interim learner %d is a second instance of final learner %d", j, j)
-		}
+	data, err := Encode("golden", st)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
-	again, err := Encode("shared", d.State)
+	d2, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	for i, l := range d.State.Learners {
+		checkSamePredictions(t, d2.State.Learners[i], l)
+	}
+	again, err := Encode(d.Name, d.State)
 	if err != nil {
 		t.Fatalf("re-Encode: %v", err)
 	}
-	if !bytes.Equal(data, again) {
-		t.Error("shared decode does not re-encode to the same bytes")
+	golden, err := os.ReadFile(filepath.Join("testdata", "fixture_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(again, golden) {
+		t.Error("the encoding-1 artifact does not re-encode to the golden bytes")
+	}
+}
 
-	// The interim Naive Bayes trained on fewer examples, and the interim
-	// name matcher under another name.
-	st = fixtureState(t)
+// TestDecodeRefusesInterimSection: an encoding-1 interim section whose
+// learner records are not the ensemble's first learners, one with
+// another record count than its stacker's, one that comes before the
+// ensemble, and interim encodings other than 1 and 2 do not decode.
+func TestDecodeRefusesInterimSection(t *testing.T) {
+	st := fixtureState(t)
 	nb := naivebayes.New()
 	if err := nb.Train(fixtureLabels, fixtureExamples()[1:]); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	st.InterimLearners[1] = nb
-	st.InterimNames[0] = "Names"
-	data, err = Encode("unshared", st)
+	// withEncoding sets the encoding of data's interim section.
+	withEncoding := func(data []byte, enc uint16) []byte {
+		secs := splitSections(t, data)
+		for i := range secs {
+			if secs[i].name == secInterim {
+				secs[i].enc = enc
+			}
+		}
+		return joinSections(secs)
+	}
+	// interimFirst moves data's interim section before its ensemble.
+	interimFirst := func(data []byte) []byte {
+		secs := splitSections(t, data)
+		n := len(secs) - 1
+		if secs[n].name != secInterim || secs[n-1].name != secEnsemble {
+			t.Fatalf("sections end in %q, %q, not ensemble, interim", secs[n-1].name, secs[n].name)
+		}
+		secs[n-1], secs[n] = secs[n], secs[n-1]
+		return joinSections(secs)
+	}
+	current, err := Encode("fixture", st)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	d, err = Decode(data)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"record differs in payload", encodeInterim1(t, "fixture", st, st.Names[:2], []learn.Learner{st.Learners[0], nb}),
+			`interim learner "NaiveBayes" differs from the ensemble's learner 1`},
+		{"record differs in name", encodeInterim1(t, "fixture", st, []string{"Names", "NaiveBayes"}, st.Learners[:2]),
+			`interim learner "Names" differs from the ensemble's learner 0`},
+		{"fewer records than stacked learners", encodeInterim1(t, "fixture", st, st.Names[:1], st.Learners[:1]),
+			"interim section has 1 learner records for a stacker over 2"},
+		{"more records than stacked learners", encodeInterim1(t, "fixture", st, st.Names, st.Learners),
+			"interim section has 3 learner records for a stacker over 2"},
+		{"encoding 1 before the ensemble", interimFirst(encodeInterim1(t, "fixture", st, st.Names[:2], st.Learners[:2])),
+			`section "interim" at encoding 1 precedes section "ensemble"`},
+		{"encoding 3", withEncoding(current, 3), `section "interim" encoding 3 is newer than supported 2`},
+		{"encoding 0", withEncoding(current, 0), `section "interim" has encoding 0`},
 	}
-	for j := range st.InterimLearners {
-		if d.State.InterimLearners[j] == d.State.Learners[j] {
-			t.Errorf("interim learner %d shares final learner %d's instance though their records differ", j, j)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Decode(tc.data)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Decode = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+
+	// At encoding 2 the interim section holds no learner, so its place
+	// does not matter.
+	d, err := Decode(interimFirst(current))
+	if err != nil {
+		t.Fatalf("Decode with the interim section first: %v", err)
+	}
+	if again, err := Encode("fixture", d.State); err != nil || !bytes.Equal(again, current) {
+		t.Errorf("interim section first: re-Encode = %v, or other bytes", err)
+	}
+}
+
+// stackerOver restores a stacker over fixtureLabels that combines the
+// named learners with equal weights.
+func stackerOver(t *testing.T, names ...string) *meta.Stacker {
+	t.Helper()
+	weights := make([][]float64, len(fixtureLabels))
+	for i := range weights {
+		weights[i] = make([]float64, len(names))
+		for j := range names {
+			weights[i][j] = 1 / float64(len(names))
 		}
-		checkSamePredictions(t, st.InterimLearners[j], d.State.InterimLearners[j])
+	}
+	s, err := meta.RestoreStacker(&meta.StackerState{Labels: fixtureLabels, LearnerNames: names, Weights: weights})
+	if err != nil {
+		t.Fatalf("RestoreStacker: %v", err)
+	}
+	return s
+}
+
+// refusedAtLoad encodes st and requires Decode, or building the
+// decoded system, to fail with an error that mentions want.
+func refusedAtLoad(t *testing.T, st *core.SystemState, want string) {
+	t.Helper()
+	data, err := Encode("refused", st)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	d, err := Decode(data)
+	if err == nil {
+		_, err = d.System(1)
+	}
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Decode → System = %v, want an error mentioning %q", err, want)
+	}
+}
+
+// TestSystemRefusesStackerNames: a stacker combines the learners by
+// position, so a model whose stacker names other learners than its
+// learner list, fewer of them or the same ones in another order, does
+// not load. Before, the first loaded and panicked on every match; the
+// second loaded and weighted the wrong learners.
+func TestSystemRefusesStackerNames(t *testing.T) {
+	cases := []struct {
+		name    string
+		learned []string
+	}{
+		{"fewer learners", []string{"NameMatcher", "NaiveBayes"}},
+		{"permuted learners", []string{"NaiveBayes", "NameMatcher", "XMLLearner"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := fixtureState(t)
+			st.Stacker = stackerOver(t, tc.learned...)
+			refusedAtLoad(t, st, "stacker combines learners")
+		})
+	}
+}
+
+// TestSystemRefusesInterimStacker: the interim stacker combines the
+// first learners of the model, which pass 1 predicts, so one whose
+// names are not a prefix of the learner names, or that combines the XML
+// learner, does not load.
+func TestSystemRefusesInterimStacker(t *testing.T) {
+	cases := []struct {
+		name    string
+		learned []string
+		want    string
+	}{
+		{"permuted prefix", []string{"NaiveBayes", "NameMatcher"}, "not a prefix"},
+		{"longer than the learners", []string{"NameMatcher", "NaiveBayes", "XMLLearner", "Extra"}, "not a prefix"},
+		{"over the XML learner", []string{"NameMatcher", "NaiveBayes", "XMLLearner"}, "interim stacker combines an XML learner"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := fixtureState(t)
+			st.InterimStacker = stackerOver(t, tc.learned...)
+			refusedAtLoad(t, st, tc.want)
+		})
 	}
 }

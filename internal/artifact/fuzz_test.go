@@ -2,11 +2,13 @@ package artifact
 
 import (
 	"context"
+	"os"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dtd"
+	"repro/internal/learn"
 	"repro/internal/learners/naivebayes"
 	"repro/internal/xmltree"
 )
@@ -25,18 +27,19 @@ func FuzzArtifactDecode(f *testing.F) {
 		f.Fatalf("Encode: %v", err)
 	}
 	f.Add(valid)
-	// valid's interim learners decode as the final learners' instances;
-	// this one's interim Naive Bayes differs and keeps its own.
+	// The interim section at encoding 1, whose learner records repeat
+	// the ensemble's: as written, and with a Naive Bayes record that
+	// differs from the ensemble's.
+	interim1, err := os.ReadFile(interim1Path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(interim1)
 	nb := naivebayes.New()
 	if err := nb.Train(fixtureLabels, fixtureExamples()[1:]); err != nil {
 		f.Fatalf("Train: %v", err)
 	}
-	st.InterimLearners[1] = nb
-	unshared, err := Encode("fuzz-seed", st)
-	if err != nil {
-		f.Fatalf("Encode: %v", err)
-	}
-	f.Add(unshared)
+	f.Add(encodeInterim1(f, "fuzz-seed", st, st.Names[:2], []learn.Learner{st.Learners[0], nb}))
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-checksumSize])
 	f.Add([]byte(magic))

@@ -61,12 +61,11 @@ func TestBatchedMatchDeterministic(t *testing.T) {
 }
 
 // TestUnsharedInterimDeterministic runs the staged match on a system
-// whose interim learners and stacker were trained on other data than
-// its final learners, so the first pass cannot reuse its own
-// predictions for the sub-element labels and must ask the interim
-// learners. Match at workers {1, 4} must be bit-identical to the
-// per-instance reference, which labels every sub-element itself. Each
-// side is rebuilt from its own trained systems, so neither reads
+// whose interim stacker was trained on other data than its learners,
+// so the sub-element labels combine the first pass's predictions with
+// weights of their own. Match at workers {1, 4} must be bit-identical
+// to the per-instance reference, which labels every sub-element itself.
+// Each side is rebuilt from its own trained systems, so neither reads
 // predictions the other memoized.
 func TestUnsharedInterimDeterministic(t *testing.T) {
 	ctx := context.Background()
@@ -85,7 +84,7 @@ func TestUnsharedInterimDeterministic(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.Workers = 2
 			// build trains a system on train and rebuilds it from its
-			// state around the interim ensemble of a system trained on
+			// state around the interim stacker of a system trained on
 			// other. It returns both.
 			build := func(workers int) (own, mixed *core.System) {
 				own, err := core.Train(d.Mediated(), train, cfg)
@@ -96,8 +95,8 @@ func TestUnsharedInterimDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Train: %v", err)
 				}
-				st, ds := own.State(), donor.State()
-				st.InterimNames, st.InterimLearners, st.InterimStacker = ds.InterimNames, ds.InterimLearners, ds.InterimStacker
+				st := own.State()
+				st.InterimStacker = donor.State().InterimStacker
 				mixed, err = core.FromState(st, workers)
 				if err != nil {
 					t.Fatalf("FromState: %v", err)
@@ -133,15 +132,15 @@ func TestUnsharedInterimDeterministic(t *testing.T) {
 	// The check has teeth only if the donor's labels change some scores:
 	// otherwise a match that labelled with the wrong ensemble would pass.
 	if moved == 0 {
-		t.Error("no domain's match changed with the donor's interim ensemble")
+		t.Error("no domain's match changed with the donor's interim stacker")
 	}
 }
 
 // TestSharedStateDeterministic builds two systems from one trained
-// state, the second around a donor's interim ensemble, and then
-// matches with the first. Building the second must not change how the
-// first labels sub-elements: its match must equal the per-instance
-// reference of an independently trained system.
+// state, the second around a donor's interim stacker, and then matches
+// with the first. Building the second must not change how the first
+// labels sub-elements: its match must equal the per-instance reference
+// of an independently trained system.
 func TestSharedStateDeterministic(t *testing.T) {
 	ctx := context.Background()
 	for _, d := range datagen.Domains() {
@@ -174,8 +173,8 @@ func TestSharedStateDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("FromState: %v", err)
 			}
-			mixed, ds := *st, donor.State()
-			mixed.InterimNames, mixed.InterimLearners, mixed.InterimStacker = ds.InterimNames, ds.InterimLearners, ds.InterimStacker
+			mixed := *st
+			mixed.InterimStacker = donor.State().InterimStacker
 			if _, err := core.FromState(&mixed, 2); err != nil {
 				t.Fatalf("FromState: %v", err)
 			}

@@ -146,17 +146,13 @@ type System struct {
 	cfg      Config
 	mediated *Mediated
 	labels   *learn.Labels
-	names    []string
-	learners []learn.Learner // trained, aligned with names
+	learners []learn.Learner // trained, aligned with the stacker's learner names
 	stacker  *meta.Stacker
-	// The interim ensemble is the non-XML learners stacked on their
-	// own: it labels the sub-elements the XML learner reads (Table 2).
-	// It is retained on the system so model serialization can capture
-	// the complete matcher; nil when the XML learner is disabled or has
-	// no base learners to consult.
-	interimNames    []string
-	interimLearners []learn.Learner
-	interimStacker  *meta.Stacker
+	// interimStacker is the interim ensemble: a second stacker over the
+	// first interimStacker.Len() learners, the non-XML ones. It labels
+	// the sub-elements the XML learner reads (Table 2); nil when the XML
+	// learner is disabled or has no base learners to consult.
+	interimStacker *meta.Stacker
 	// combined memoizes post-stacker predictions and interim labels by
 	// instance key, so a value the system has scored before — in an
 	// earlier request, another listing, or another tag — skips every
@@ -193,51 +189,32 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	sys := &System{cfg: cfg, mediated: med, labels: table, combined: new(memo.Table[entry])}
 
 	// Step 4: train the base learners.
+	names := make([]string, 0, len(cfg.BaseLearners)+1)
 	factories := make([]learn.Factory, 0, len(cfg.BaseLearners)+1)
 	for _, spec := range cfg.BaseLearners {
-		sys.names = append(sys.names, spec.Name)
+		names = append(names, spec.Name)
 		factories = append(factories, spec.Factory)
 	}
-
-	// shared are the interim ensemble's trained learners, which are
-	// also the first final learners; nil without an interim ensemble.
-	var shared []learn.Learner
 	if cfg.UseXMLLearner {
 		// The XML learner labels sub-elements with the true mappings at
 		// training time and with the rest of LSD at matching time
-		// (Table 2). Build the interim ensemble first: the non-XML
-		// learners stacked on their own.
+		// (Table 2): the interim ensemble, the non-XML learners stacked
+		// on their own.
 		if len(cfg.BaseLearners) > 0 {
-			interimStack, err := meta.Train(table, sys.names, factories, examples, cfg.Meta, interimSeed, cfg.Workers)
+			interimStack, err := meta.Train(table, names, factories, examples, cfg.Meta, interimSeed, cfg.Workers)
 			if err != nil {
 				return nil, fmt.Errorf("core: interim meta-learner: %w", err)
 			}
-			// The interim ensemble's learners are the final non-XML
-			// learners (same factories, same examples), so they are
-			// trained once and the instances are shared.
-			shared, err = trainLearners(sys.names, factories, labels, examples, cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
-			sys.interimNames = append([]string(nil), sys.names...)
-			sys.interimLearners = shared
 			sys.interimStacker = interimStack
 		}
 		trainLab := trainLabeler(sources)
-		sys.names = append(sys.names, "XMLLearner")
+		names = append(names, "XMLLearner")
 		factories = append(factories, func() learn.Learner { return xmllearner.New(trainLab) })
 	}
-
-	// Train the final learners the interim ensemble did not: the XML
-	// learner, or every learner when there is no interim ensemble.
-	n := len(shared)
-	rest, err := trainLearners(sys.names[n:], factories[n:], labels, examples, cfg.Workers)
-	if err != nil {
+	var err error
+	if sys.learners, err = trainLearners(names, factories, labels, examples, cfg.Workers); err != nil {
 		return nil, err
 	}
-	// The full slice expression makes the append copy, so the interim
-	// list keeps a backing array of its own.
-	sys.learners = append(shared[:n:n], rest...)
 
 	// The XML learner's cross-validation predicts as Match does, with
 	// interim sub-element labels: label every training node once.
@@ -248,7 +225,14 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 				subs = append(subs, ex.Instance)
 			}
 		}
-		found := sys.interimLabels(subs, nil)
+		base, err := parallel.Map(context.Background(), cfg.Workers, sys.interimStacker.Len(),
+			func(_ context.Context, j int) ([]learn.Prediction, error) {
+				return learn.PredictAll(sys.learners[j], subs), nil
+			})
+		if err != nil {
+			return nil, err
+		}
+		found := sys.interimLabels(subs, base)
 		subLabels := make(map[*xmltree.Node]string, len(subs))
 		for i, in := range subs {
 			subLabels[in.Node] = found[i]
@@ -259,7 +243,7 @@ func Train(med *Mediated, sources []*Source, cfg Config) (*System, error) {
 	}
 
 	// Step 5: train the meta-learner by stacking over all learners.
-	stacker, err := meta.Train(table, sys.names, factories, examples, cfg.Meta, finalSeed, cfg.Workers)
+	stacker, err := meta.Train(table, names, factories, examples, cfg.Meta, finalSeed, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: meta-learner: %w", err)
 	}
@@ -382,7 +366,7 @@ func ExtractExamples(med *Mediated, sources []*Source, maxListings int) []learn.
 func (s *System) Labels() []string { return s.labels.Names() }
 
 // LearnerNames returns the trained learners' names.
-func (s *System) LearnerNames() []string { return append([]string(nil), s.names...) }
+func (s *System) LearnerNames() []string { return s.stacker.LearnerNames() }
 
 // Stacker exposes the fitted meta-learner weights (for reports).
 func (s *System) Stacker() *meta.Stacker { return s.stacker }

@@ -39,8 +39,8 @@ func (s *System) referenceScore(_ context.Context, batches [][]learn.Instance) (
 }
 
 // referenceSubLabels labels every node below in's node, one node at a
-// time: the interim stacker's best label over the interim learners'
-// Predict of the node's own instance, OTHER when it has none.
+// time: the interim stacker's best label over the Predict of the node's
+// own instance by each learner it combines, OTHER when it has none.
 func (s *System) referenceSubLabels(in learn.Instance) map[*xmltree.Node]string {
 	labels := make(map[*xmltree.Node]string)
 	above := in.Path[:len(in.Path)-1]
@@ -49,9 +49,9 @@ func (s *System) referenceSubLabels(in learn.Instance) map[*xmltree.Node]string 
 			return
 		}
 		sub := NewInstance(s.mediated, n, append(append([]string(nil), above...), rel...))
-		preds := make([]learn.Prediction, len(s.interimLearners))
-		for j, l := range s.interimLearners {
-			preds[j] = l.Predict(sub)
+		preds := make([]learn.Prediction, s.interimStacker.Len())
+		for j := range preds {
+			preds[j] = s.learners[j].Predict(sub)
 		}
 		best, _ := s.interimStacker.Combine(preds).Best()
 		if best == "" {

@@ -177,28 +177,18 @@ func (s *System) pass1(c *column, label bool) pass1Result {
 }
 
 // interimLabels returns the interim label of every sub-element among
-// ins, aligned with ins: the interim stacker's best label over the
-// interim learners' predictions, OTHER when it has none. Interim
-// learner j reuses base[j], the system's learner j's predictions of
-// ins, when it is that same learner; any other interim learner
-// predicts ins itself. Other instances get the empty label.
+// ins, aligned with ins: the interim stacker's best label over base[j],
+// learner j's predictions of ins, for each learner j it combines;
+// OTHER when it has none. Other instances get the empty label.
 func (s *System) interimLabels(ins []learn.Instance, base [][]learn.Prediction) []string {
-	interim := make([][]learn.Prediction, len(s.interimLearners))
-	for j, l := range s.interimLearners {
-		if j < len(base) && base[j] != nil && l == s.learners[j] {
-			interim[j] = base[j]
-		} else {
-			interim[j] = learn.PredictAll(l, ins)
-		}
-	}
-	row := predScratch.Get(len(interim))
+	row := predScratch.Get(s.interimStacker.Len())
 	out := make([]string, len(ins))
 	for i, in := range ins {
 		if !isSubElement(in) {
 			continue
 		}
 		for j := range row {
-			row[j] = interim[j][i]
+			row[j] = base[j][i]
 		}
 		best, _ := s.interimStacker.Combine(row).Best()
 		if best == "" {

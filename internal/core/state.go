@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/constraint"
 	"repro/internal/dtd"
@@ -44,27 +45,23 @@ type SystemState struct {
 	Names    []string
 	Learners []learn.Learner
 	Stacker  *meta.Stacker
-
-	// The interim ensemble that labels sub-elements while matching;
-	// empty when the XML learner is absent or stand-alone.
-	InterimNames    []string
-	InterimLearners []learn.Learner
-	InterimStacker  *meta.Stacker
+	// InterimStacker, the interim ensemble that labels sub-elements
+	// while matching, stacks the first InterimStacker.Len() learners;
+	// nil when the XML learner is absent or stand-alone.
+	InterimStacker *meta.Stacker
 }
 
 // State snapshots the trained system.
 func (s *System) State() *SystemState {
 	st := &SystemState{
-		Config:          s.cfg,
-		MediatedDTD:     s.mediated.Schema.String(),
-		Synonyms:        s.mediated.Synonyms,
-		Labels:          s.labels,
-		Names:           append([]string(nil), s.names...),
-		Learners:        append([]learn.Learner(nil), s.learners...),
-		Stacker:         s.stacker,
-		InterimNames:    append([]string(nil), s.interimNames...),
-		InterimLearners: append([]learn.Learner(nil), s.interimLearners...),
-		InterimStacker:  s.interimStacker,
+		Config:         s.cfg,
+		MediatedDTD:    s.mediated.Schema.String(),
+		Synonyms:       s.mediated.Synonyms,
+		Labels:         s.labels,
+		Names:          s.stacker.LearnerNames(),
+		Learners:       append([]learn.Learner(nil), s.learners...),
+		Stacker:        s.stacker,
+		InterimStacker: s.interimStacker,
 	}
 	st.Config.BaseLearners = nil
 	st.Config.Handler = nil
@@ -101,9 +98,19 @@ func FromState(st *SystemState, workers int) (*System, error) {
 	if st.Stacker == nil {
 		return nil, fmt.Errorf("core: state has no stacker")
 	}
-	if len(st.InterimNames) != len(st.InterimLearners) {
-		return nil, fmt.Errorf("core: %d interim names for %d interim learners",
-			len(st.InterimNames), len(st.InterimLearners))
+	// The stackers combine learners by position: the stacker all of
+	// them, the interim stacker the first k, which pass 1 predicts.
+	if names := st.Stacker.LearnerNames(); !slices.Equal(names, st.Names) {
+		return nil, fmt.Errorf("core: stacker combines learners %q, state has %q", names, st.Names)
+	}
+	if in := st.InterimStacker; in != nil {
+		k := in.Len()
+		if k > len(st.Names) || !slices.Equal(in.LearnerNames(), st.Names[:k]) {
+			return nil, fmt.Errorf("core: interim stacker combines learners %q, not a prefix of %q", in.LearnerNames(), st.Names)
+		}
+		if slices.ContainsFunc(st.Learners[:k], isXML) {
+			return nil, fmt.Errorf("core: interim stacker combines an XML learner")
+		}
 	}
 	schema, err := dtd.Parse(st.MediatedDTD)
 	if err != nil {
@@ -124,21 +131,13 @@ func FromState(st *SystemState, workers int) (*System, error) {
 	cfg := st.Config
 	cfg.Workers = workers
 	sys := &System{
-		cfg:      cfg,
-		mediated: med,
-		labels:   st.Labels,
-		names:    append([]string(nil), st.Names...),
-		learners: append([]learn.Learner(nil), st.Learners...),
-		stacker:  st.Stacker,
-		combined: new(memo.Table[entry]),
-	}
-	if len(st.InterimLearners) > 0 {
-		if st.InterimStacker == nil {
-			return nil, fmt.Errorf("core: interim learners without an interim stacker")
-		}
-		sys.interimNames = append([]string(nil), st.InterimNames...)
-		sys.interimLearners = append([]learn.Learner(nil), st.InterimLearners...)
-		sys.interimStacker = st.InterimStacker
+		cfg:            cfg,
+		mediated:       med,
+		labels:         st.Labels,
+		learners:       append([]learn.Learner(nil), st.Learners...),
+		stacker:        st.Stacker,
+		interimStacker: st.InterimStacker,
+		combined:       new(memo.Table[entry]),
 	}
 	return sys, nil
 }

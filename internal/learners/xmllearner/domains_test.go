@@ -56,16 +56,16 @@ func TestSparseBagMatchesTokenBag(t *testing.T) {
 				t.Fatalf("CollectColumns: %v", err)
 			}
 			// Label every node below a listing root as a match does: the
-			// interim stacker's best label over the interim learners.
+			// interim stacker's best label over the learners it combines.
 			subLabels := make(map[*xmltree.Node]string)
 			for _, instances := range cols {
 				for _, in := range instances {
 					if len(in.Path) < 2 {
 						continue
 					}
-					preds := make([]learn.Prediction, len(st.InterimLearners))
-					for j, l := range st.InterimLearners {
-						preds[j] = l.Predict(in)
+					preds := make([]learn.Prediction, st.InterimStacker.Len())
+					for j := range preds {
+						preds[j] = st.Learners[j].Predict(in)
 					}
 					best, _ := st.InterimStacker.Combine(preds).Best()
 					if best == "" {

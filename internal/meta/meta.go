@@ -177,8 +177,12 @@ func uniformWeights(k int) []float64 {
 // Labels returns the label table the stacker was trained over.
 func (s *Stacker) Labels() *learn.Labels { return s.labels }
 
-// LearnerNames returns the base-learner names in weight order.
-func (s *Stacker) LearnerNames() []string { return s.learnerNames }
+// LearnerNames returns a copy of the base-learner names in weight
+// order.
+func (s *Stacker) LearnerNames() []string { return append([]string(nil), s.learnerNames...) }
+
+// Len returns the number of base learners the stacker combines.
+func (s *Stacker) Len() int { return len(s.learnerNames) }
 
 // Weight returns W_label_Lj for the named learner.
 func (s *Stacker) Weight(label, learnerName string) float64 {

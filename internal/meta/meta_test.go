@@ -204,6 +204,22 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
+// TestLearnerNamesIsACopy writes into the slice LearnerNames returns:
+// the stacker's names, which decide which learners it combines, must
+// not change.
+func TestLearnerNamesIsACopy(t *testing.T) {
+	st, err := Train(table, []string{"a", "b"},
+		[]learn.Factory{func() learn.Learner { return &coin{} }, func() learn.Learner { return &coin{} }},
+		nil, DefaultConfig(), 5, 0)
+	if err != nil {
+		t.Fatalf("Train: %v", err)
+	}
+	st.LearnerNames()[0] = "X"
+	if got := st.LearnerNames(); got[0] != "a" {
+		t.Errorf("a write into LearnerNames changed the stacker's names to %v", got)
+	}
+}
+
 func TestCombinePanicsOnArity(t *testing.T) {
 	st, _ := Train(table, []string{"a"},
 		[]learn.Factory{func() learn.Learner { return &coin{} }},
